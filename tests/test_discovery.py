@@ -12,6 +12,9 @@ from rootspiral.discovery import (
     canonical_shift,
     chains_to_arms,
     discover,
+    enumerate_family_arms,
+    families_for,
+    family_residues,
     link_chains,
     group_into_systems,
     multiples_points,
@@ -23,7 +26,7 @@ from rootspiral.discovery import (
 )
 from rootspiral.errors import TooFew, UnknownDivisor
 from rootspiral.quadratics import HalfIntQuadratic, asymptotic_drift
-from rootspiral.spiral import TWO_PI
+from rootspiral.spiral import TWO_PI, SpiralTable
 
 
 class TestMultiples:
@@ -129,6 +132,91 @@ class TestRediscoveryClosure:
                     chains = link_chains(arm.members)
                     arms = chains_to_arms(chains, divisor=d, table=table)
                     assert any(a.poly == arm.poly for a in arms), str(arm.poly)
+
+
+def _scalar_member_numbers(q, n_max):
+    """Values f(0), f(1), ... while <= n_max; None if any dips below 1."""
+    out, x = [], 0
+    while True:
+        v = q.eval(x)
+        if v > n_max:
+            return out
+        if v < 1:
+            return None
+        out.append(v)
+        x += 1
+
+
+def _scalar_settled_run_start(q, numbers, table, tol):
+    """First index from which every step drift stays within tol of the asymptote."""
+    target = asymptotic_drift(q.A)
+    start = None
+    for i in range(len(numbers) - 1):
+        dr = table.angle(numbers[i + 1]) - table.angle(numbers[i]) - TWO_PI
+        if abs(dr - target) <= tol:
+            if start is None:
+                start = i
+        else:
+            start = None
+    return start
+
+
+def _scalar_family_arms(A, d, table, cfg):
+    """Family enumeration one candidate and one angle read at a time."""
+    found = []
+    for br, cr in family_residues(A, d):
+        c_lo = cr if cr >= 2 else cr + 2 * d
+        for C in range(c_lo, 2 * cfg.centre_cap + 1, 2 * d):
+            b_values = list(range(br, cfg.b_hard_max, 2 * d)) + list(
+                range(br - 2 * d, -A - 1, -2 * d)
+            )
+            for B in b_values:
+                fm1 = A - B + C
+                if not (fm1 <= 0 or fm1 > C):
+                    continue
+                q = HalfIntQuadratic(A, B, C)
+                numbers = _scalar_member_numbers(q, cfg.n_max)
+                if numbers is None or len(numbers) < cfg.min_chain_len:
+                    continue
+                start = _scalar_settled_run_start(q, numbers, table, cfg.angular_tol_rad)
+                if start is None or start > cfg.run_start_max:
+                    continue
+                if len(numbers) - start < cfg.min_chain_len:
+                    continue
+                found.append((q, numbers))
+    found.sort(key=lambda item: (item[0].B % (2 * A), item[0].B, item[0].C))
+    return found
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """Longer than every n_max below, so a read past n_max changes a result."""
+    return SpiralTable(70000)
+
+
+class TestFamilyEnumeration:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            Config(),
+            Config(n_max=10000),
+            Config(n_max=60000),
+            Config(angular_tol_rad=0.25),
+            Config(centre_cap=40, run_start_max=5),
+        ],
+        ids=["default", "n_max=10000", "n_max=60000", "tol=0.25", "cap=40,start=5"],
+    )
+    def test_matches_scalar_oracle(self, wide_table, cfg):
+        for d in (2, 3, 4, 5, 6, 7, 11, 13, 17):
+            for A in sorted(set(families_for(d).values())):
+                got = enumerate_family_arms(A, d, table=wide_table, config=cfg)
+                assert got == _scalar_family_arms(A, d, wide_table, cfg), (d, A)
+
+    def test_arms_are_canonical_and_exact(self, table):
+        for q, numbers in enumerate_family_arms(36, 2, table=table):
+            assert canonical_shift(q) == q
+            assert numbers == [q.eval(x) for x in range(len(numbers))]
+            assert numbers[-1] <= 20000 < q.eval(len(numbers))
 
 
 class TestSystems:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rootspiral.claims import claimed_divisors
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
 from rootspiral.render import (
@@ -119,18 +120,17 @@ def test_export_report_unknown_format(table):
 
 
 class TestGolden:
-    def test_report_d17(self, table):
-        from rootspiral.cli import _figure
-        from rootspiral.config import Config
+    """`report --all` output, pinned byte for byte for every claimed divisor."""
 
-        rep = discover(17, table=table)
-        golden = (GOLDEN / "report_d17.json").read_bytes()
-        assert export_report(rep, "json") == golden
+    @pytest.mark.parametrize("d", claimed_divisors())
+    def test_report_json(self, reports, d):
+        golden = (GOLDEN / f"report_d{d}.json").read_bytes()
+        assert export_report(reports[d], "json") == golden
 
-    def test_report_d17_text(self, table):
-        rep = discover(17, table=table)
-        golden = (GOLDEN / "report_d17.txt").read_bytes()
-        assert export_report(rep, "text") == golden
+    @pytest.mark.parametrize("d", claimed_divisors())
+    def test_report_text(self, reports, d):
+        golden = (GOLDEN / f"report_d{d}.txt").read_bytes()
+        assert export_report(reports[d], "text") == golden
 
     def test_figure_d17(self, table):
         from rootspiral.cli import FIGURE_N_MAX, _figure
