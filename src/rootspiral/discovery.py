@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .claims import DivisorClaims, all_claims
 from .config import Config
 from .errors import (
@@ -348,22 +350,6 @@ def _member_numbers(q: HalfIntQuadratic, n_max: int) -> list[int] | None:
         x += 1
 
 
-def _settled_run_start(
-    q: HalfIntQuadratic, numbers: Sequence[int], table: SpiralTable, tol: float
-) -> int | None:
-    """First index from which every step drift stays within tol of the asymptote."""
-    target = asymptotic_drift(q.A)
-    start: int | None = None
-    for i in range(len(numbers) - 1):
-        dr = table.angle(numbers[i + 1]) - table.angle(numbers[i]) - TWO_PI
-        if abs(dr - target) <= tol:
-            if start is None:
-                start = i
-        else:
-            start = None
-    return start
-
-
 def _early_drift(q: HalfIntQuadratic, table: SpiralTable, cfg: Config) -> float:
     """Mean per-step drift over the near-centre window of the arm."""
     tot, cnt = 0.0, 0
@@ -400,6 +386,10 @@ def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict
     return {Rotation.POSITIVE: below, Rotation.NEGATIVE: above}
 
 
+#: Most grid cells (candidates x members) that family enumeration evaluates at once.
+_GRID_CELLS = 1 << 15
+
+
 def enumerate_family_arms(
     A: int,
     d: int,
@@ -412,32 +402,57 @@ def enumerate_family_arms(
     An arm qualifies when it starts near the centre (f(0) <= centre_cap),
     all members are positive, at least min_chain_len members fit under
     n_max, and its drift settles onto the family asymptote within
-    angular_tol no later than step run_start_max.
+    angular_tol no later than step run_start_max, leaving at least
+    min_chain_len settled members.
+
+    Each residue class (B mod 2d, C mod 2d) is one int64 grid: a row per
+    canonical candidate (B, C), a column per x, holding f(x). Since
+    B >= -A and C >= 2, 2f(x) > A*x*(x-1), so every row passes n_max once
+    x*(x-1) >= 2*n_max/A, which bounds the grid width. The angles of the
+    members are gathered from the table's theta array and their step
+    drifts tested as whole rows; the settled run starts one past the last
+    failing step. Rows are taken in chunks of at most _GRID_CELLS cells.
     """
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
     table.ensure(cfg.n_max)
+    theta = table.theta_array
+    target = asymptotic_drift(A)
+    width = math.isqrt(2 * cfg.n_max // A) + 3
+    x = np.arange(width, dtype=np.int64)
+    step = np.arange(width - 1)
+    rows = max(1, _GRID_CELLS // width)
     found: list[tuple[HalfIntQuadratic, list[int]]] = []
     for br, cr in family_residues(A, d):
         c_lo = cr if cr >= 2 else cr + 2 * d
-        for C in range(c_lo, 2 * cfg.centre_cap + 1, 2 * d):
-            b_values = list(range(br, cfg.b_hard_max, 2 * d)) + list(
-                range(br - 2 * d, -A - 1, -2 * d)
+        B, C = np.meshgrid(
+            np.concatenate(
+                (np.arange(br, cfg.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
+            ),
+            np.arange(c_lo, 2 * cfg.centre_cap + 1, 2 * d),
+        )
+        fm1 = A - B + C  # doubled f(-1)
+        canonical = (fm1 <= 0) | (fm1 > C)  # otherwise the arm starts further in
+        B, C = B[canonical].astype(np.int64), C[canonical].astype(np.int64)
+        for lo in range(0, len(B), rows):
+            b, c = B[lo:lo + rows], C[lo:lo + rows]
+            values = (A * x * x + b[:, None] * x + c[:, None]) // 2
+            count = (values > cfg.n_max).argmax(axis=1)  # members before the first past n_max
+            dips = ((values < 1) & (x < count[:, None])).any(axis=1)
+            th = theta[np.minimum(values, cfg.n_max)]
+            drift = th[:, 1:] - th[:, :-1] - TWO_PI
+            fails = ~(np.abs(drift - target) <= cfg.angular_tol_rad) & (step < count[:, None] - 1)
+            # A run whose last step fails starts at count - 1; the tail gate drops it.
+            start = np.where(fails.any(axis=1), width - 1 - fails[:, ::-1].argmax(axis=1), 0)
+            keep = (
+                ~dips
+                & (count >= cfg.min_chain_len)
+                & (start <= cfg.run_start_max)
+                & (count - start >= cfg.min_chain_len)
             )
-            for B in b_values:
-                fm1 = A - B + C  # doubled f(-1)
-                if not (fm1 <= 0 or fm1 > C):
-                    continue  # not canonical: the arm starts further in
-                q = HalfIntQuadratic(A, B, C)
-                numbers = _member_numbers(q, cfg.n_max)
-                if numbers is None or len(numbers) < cfg.min_chain_len:
-                    continue
-                start = _settled_run_start(q, numbers, table, cfg.angular_tol_rad)
-                if start is None or start > cfg.run_start_max:
-                    continue
-                if len(numbers) - start < cfg.min_chain_len:
-                    continue
-                found.append((q, numbers))
+            for i in np.flatnonzero(keep):
+                q = HalfIntQuadratic(A, int(b[i]), int(c[i]))
+                found.append((q, values[i, :count[i]].tolist()))
     found.sort(key=lambda item: (item[0].B % (2 * A), item[0].B, item[0].C))
     return found
 
@@ -463,22 +478,22 @@ def discover_arms(
     table: SpiralTable | None = None,
     config: Config | None = None,
 ) -> list[Arm]:
-    """All validated arms for divisor d across its family constants."""
+    """All validated arms for divisor d across its family constants.
+
+    Each distinct family constant is enumerated once. When one family
+    serves both directions, the early drift of each arm picks its direction.
+    """
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
     fams = families_for(d)
-    arms: list[Arm] = []
-    seen: set[HalfIntQuadratic] = set()
-    same_family = len(set(fams.values())) == 1
+    directions: dict[int, Rotation] = {}  # family constant -> its first direction
     for direction in (Rotation.POSITIVE, Rotation.NEGATIVE):
-        A = fams.get(direction)
-        if A is None:
-            continue
+        if direction in fams:
+            directions.setdefault(fams[direction], direction)
+    arms: list[Arm] = []
+    for A, direction in directions.items():
         for q, numbers in enumerate_family_arms(A, d, table=table, config=cfg):
-            if q in seen:
-                continue
-            seen.add(q)
-            if same_family:
+            if len(directions) == 1:
                 rot = (
                     Rotation.POSITIVE
                     if _early_drift(q, table, cfg) < 0

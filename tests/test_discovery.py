@@ -147,12 +147,12 @@ def _scalar_member_numbers(q, n_max):
         x += 1
 
 
-def _scalar_settled_run_start(q, numbers, table, tol):
+def _scalar_settled_run_start(q, numbers, theta, tol):
     """First index from which every step drift stays within tol of the asymptote."""
     target = asymptotic_drift(q.A)
     start = None
     for i in range(len(numbers) - 1):
-        dr = table.angle(numbers[i + 1]) - table.angle(numbers[i]) - TWO_PI
+        dr = theta[numbers[i + 1]] - theta[numbers[i]] - TWO_PI
         if abs(dr - target) <= tol:
             if start is None:
                 start = i
@@ -163,6 +163,7 @@ def _scalar_settled_run_start(q, numbers, table, tol):
 
 def _scalar_family_arms(A, d, table, cfg):
     """Family enumeration one candidate and one angle read at a time."""
+    theta = table.theta_array.tolist()
     found = []
     for br, cr in family_residues(A, d):
         c_lo = cr if cr >= 2 else cr + 2 * d
@@ -178,7 +179,7 @@ def _scalar_family_arms(A, d, table, cfg):
                 numbers = _scalar_member_numbers(q, cfg.n_max)
                 if numbers is None or len(numbers) < cfg.min_chain_len:
                     continue
-                start = _scalar_settled_run_start(q, numbers, table, cfg.angular_tol_rad)
+                start = _scalar_settled_run_start(q, numbers, theta, cfg.angular_tol_rad)
                 if start is None or start > cfg.run_start_max:
                     continue
                 if len(numbers) - start < cfg.min_chain_len:
@@ -186,12 +187,6 @@ def _scalar_family_arms(A, d, table, cfg):
                 found.append((q, numbers))
     found.sort(key=lambda item: (item[0].B % (2 * A), item[0].B, item[0].C))
     return found
-
-
-@pytest.fixture(scope="module")
-def wide_table():
-    """Longer than every n_max below, so a read past n_max changes a result."""
-    return SpiralTable(70000)
 
 
 class TestFamilyEnumeration:
@@ -203,14 +198,19 @@ class TestFamilyEnumeration:
             Config(n_max=60000),
             Config(angular_tol_rad=0.25),
             Config(centre_cap=40, run_start_max=5),
+            Config(min_chain_len=30),  # the settled-tail gate binds here
         ],
-        ids=["default", "n_max=10000", "n_max=60000", "tol=0.25", "cap=40,start=5"],
+        ids=["default", "n_max=10000", "n_max=60000", "tol=0.25", "cap=40,start=5", "len=30"],
     )
-    def test_matches_scalar_oracle(self, wide_table, cfg):
+    def test_matches_scalar_oracle(self, table, cfg):
+        # The session table runs past n_max = 20000 and 10000; a table of
+        # exactly n_max = 60000 entries has nothing to read past its end.
+        if cfg.n_max > table.n_max:
+            table = SpiralTable(cfg.n_max)
         for d in (2, 3, 4, 5, 6, 7, 11, 13, 17):
             for A in sorted(set(families_for(d).values())):
-                got = enumerate_family_arms(A, d, table=wide_table, config=cfg)
-                assert got == _scalar_family_arms(A, d, wide_table, cfg), (d, A)
+                got = enumerate_family_arms(A, d, table=table, config=cfg)
+                assert got == _scalar_family_arms(A, d, table, cfg), (d, A)
 
     def test_arms_are_canonical_and_exact(self, table):
         for q, numbers in enumerate_family_arms(36, 2, table=table):
