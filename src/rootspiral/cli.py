@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -31,8 +31,14 @@ FIGURE_N_MAX = 2000
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Write through a hidden temporary file in the target directory.
+
+    The temporary file is created with mode 0666 less the process umask,
+    so the renamed file gets the same mode as any newly created file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

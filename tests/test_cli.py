@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -16,6 +18,22 @@ def test_spiral_writes_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "n,radius,theta_rad,winding,x,y"
     assert len(lines) == 501
+
+
+def test_written_files_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run(["spiral", "--n-max", "200", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "s.csv").stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]  # no temporary file left
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "taken").mkdir()  # os.replace cannot put a file over a directory
+    assert run(["spiral", "--n-max", "200", "--out", str(tmp_path / "taken")]) == EXIT_USAGE
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_spiral_below_minimum_is_usage_error(tmp_path):
