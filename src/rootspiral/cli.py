@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -37,7 +36,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
     so the renamed file gets the same mode as any newly created file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}"
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
