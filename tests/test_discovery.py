@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from rootspiral import discovery
 from rootspiral.claims import claims_for
 from rootspiral.config import Config
 from rootspiral.discovery import (
@@ -203,7 +204,7 @@ class TestFamilyEnumeration:
         ids=["default", "n_max=10000", "n_max=60000", "tol=0.25", "cap=40,start=5", "len=30"],
     )
     def test_matches_scalar_oracle(self, table, cfg):
-        # The session table runs past n_max = 20000 and 10000; a table of
+        # The shared `table` fixture runs past n_max = 20000 and 10000; a table of
         # exactly n_max = 60000 entries has nothing to read past its end.
         if cfg.n_max > table.n_max:
             table = SpiralTable(cfg.n_max)
@@ -212,11 +213,17 @@ class TestFamilyEnumeration:
                 got = enumerate_family_arms(A, d, table=table, config=cfg)
                 assert got == _scalar_family_arms(A, d, table, cfg), (d, A)
 
-    def test_arms_are_canonical_and_exact(self, table):
-        for q, numbers in enumerate_family_arms(36, 2, table=table):
-            assert canonical_shift(q) == q
-            assert numbers == [q.eval(x) for x in range(len(numbers))]
-            assert numbers[-1] <= 20000 < q.eval(len(numbers))
+    @pytest.mark.parametrize("d", [2, 5, 17])
+    def test_discover_arms_enumerates_each_family_once(self, table, monkeypatch, d):
+        calls = []
+
+        def counted(A, d, **kwargs):
+            calls.append(A)
+            return enumerate_family_arms(A, d, **kwargs)
+
+        monkeypatch.setattr(discovery, "enumerate_family_arms", counted)
+        discovery.discover_arms(d, table=table)
+        assert sorted(calls) == sorted(set(families_for(d).values()))
 
 
 class TestSystems:
