@@ -28,11 +28,9 @@ from .discovery import (
     ClaimCheck,
     DivisorReport,
     axis_symmetry,
-    chains_to_arms,
     discover,
     discover_arms,
     group_into_systems,
-    link_chains,
     point_symmetry_pairs,
     square_number_arms,
     system_spacing,
@@ -49,11 +47,9 @@ __all__ = [
     "DifferenceTable",
     "DivisorReport",
     "axis_symmetry",
-    "chains_to_arms",
     "discover",
     "discover_arms",
     "group_into_systems",
-    "link_chains",
     "point_symmetry_pairs",
     "square_number_arms",
     "system_spacing",

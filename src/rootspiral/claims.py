@@ -82,7 +82,7 @@ def all_claims() -> dict[int, DivisorClaims]:
 def claims_for(divisor: int) -> DivisorClaims:
     table = all_claims()
     if divisor not in table:
-        raise UnknownDivisor(f"no published data for divisor {divisor}")
+        raise UnknownDivisor(f"no published data for divisor {divisor}; use `discover` instead")
     return table[divisor]
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .claims import claimed_divisors
+from .claims import claimed_divisors, claims_for
 from .config import Config
 from .discovery import DivisorReport, discover, verify_paper_table
 from .errors import RootSpiralError
@@ -79,13 +79,8 @@ def _cmd_spiral(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if args.divisor is not None and args.divisor not in claimed_divisors():
-        print(
-            f"error: no published data for divisor {args.divisor}; "
-            f"use `discover` instead",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if args.divisor is not None:
+        claims_for(args.divisor)  # raises UnknownDivisor for unpublished divisors
     reports = verify_paper_table(args.divisor, config=cfg)
     mismatched, flagged, lines = 0, 0, []
     for rep in reports:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .quadratics import MIN_DRIFT_STEPS
+
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ROOTSPIRAL_OUT"
 
@@ -50,6 +52,10 @@ class Config:
                 raise ValueError(f"{name} must be positive")
         if self.min_chain_len < 4:
             raise ValueError("min_chain_len must be at least 4")
+        if self.early_drift_lo < 0 or self.early_drift_hi - self.early_drift_lo < MIN_DRIFT_STEPS:
+            raise ValueError(
+                f"early drift window must start at x >= 0 and span at least {MIN_DRIFT_STEPS} steps"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "Config":

@@ -26,28 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .claims import DivisorClaims, all_claims
 from .config import Config
-from .errors import (
-    Inconsistent,
-    NotHalfInteger,
-    NotQuadratic,
-    RangeExhausted,
-    TooFew,
-)
+from .errors import TooFew
 from .quadratics import (
+    MIN_DRIFT_STEPS,
     HalfIntQuadratic,
     Rotation,
     asymptotic_drift,
     divisible_by,
-    fit_quadratic,
     rotation_of,
 )
-from .spiral import TWO_PI, SpiralPoint, SpiralTable, shared_table
+from .spiral import TWO_PI, SpiralTable, shared_table
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +51,18 @@ from .spiral import TWO_PI, SpiralPoint, SpiralTable, shared_table
 
 @dataclass(frozen=True)
 class Arm:
-    """A validated spiral-graph: polynomial, members, rotation direction."""
+    """A validated spiral-graph: polynomial, member numbers, rotation direction.
+
+    The members are the numbers f(0), f(1), ... up to n_max; their radii
+    and angles are read from the spiral table when needed.
+    """
 
     poly: HalfIntQuadratic
     divisor: int
-    members: tuple[SpiralPoint, ...]
+    members: tuple[int, ...]
     rotation: Rotation
 
-    @property
-    def member_numbers(self) -> tuple[int, ...]:
-        return tuple(p.n for p in self.members)
-
-    def anchor_angle(self, w_ref: int) -> float:
-        """Reduced angle of the member whose winding is nearest w_ref."""
-        best = min(self.members, key=lambda p: (abs(p.winding - w_ref), p.n))
-        return best.theta % TWO_PI
-
-    def angle_at_radius(self, r_ref: float) -> float:
+    def angle_at_radius(self, r_ref: float, table: SpiralTable) -> float:
         """Reduced angle where the arm crosses the circle of radius r_ref.
 
         Members are one winding apart, so the nearest-member anchor is
@@ -82,15 +71,17 @@ class Arm:
         quantization. Outside the member range the end angle is returned.
         """
         ms = self.members
-        if r_ref <= ms[0].radius:
-            return ms[0].theta % TWO_PI
+        if r_ref <= math.sqrt(ms[0]):
+            return table.angle(ms[0]) % TWO_PI
         for p, q in zip(ms, ms[1:]):
-            if r_ref <= q.radius:
-                t = (r_ref - p.radius) / (q.radius - p.radius)
-                ra_p = p.theta % TWO_PI
-                step = _circ_diff(q.theta % TWO_PI, ra_p)  # the arm's local slip
+            r_q = math.sqrt(q)
+            if r_ref <= r_q:
+                r_p = math.sqrt(p)
+                t = (r_ref - r_p) / (r_q - r_p)
+                ra_p = table.angle(p) % TWO_PI
+                step = _circ_diff(table.angle(q) % TWO_PI, ra_p)  # the arm's local slip
                 return (ra_p + t * step) % TWO_PI
-        return ms[-1].theta % TWO_PI
+        return table.angle(ms[-1]) % TWO_PI
 
     @property
     def vertex_value(self) -> float:
@@ -165,137 +156,6 @@ class DivisorReport:
 
 
 # ---------------------------------------------------------------------------
-# Point preparation and chain linking
-# ---------------------------------------------------------------------------
-
-
-def multiples_points(d: int, n_max: int, table: SpiralTable | None = None) -> list[SpiralPoint]:
-    """All spiral points with n divisible by d, n <= n_max, ordered by n."""
-    if d < 2:
-        raise ValueError(f"divisor must be >= 2, got {d}")
-    if n_max < d:
-        raise ValueError(f"n_max={n_max} is below the first multiple of {d}")
-    table = table or shared_table(n_max)
-    table.ensure(n_max)
-    return [table.point(n) for n in range(d, n_max + 1, d)]
-
-
-def _circ_diff(a: float, b: float) -> float:
-    """Signed circular difference a - b folded into (-pi, pi]."""
-    return (a - b + math.pi) % TWO_PI - math.pi
-
-
-def link_chains(
-    points: Sequence[SpiralPoint],
-    angular_tol: float = 0.35,
-    settle_winding: int = 2,
-) -> list[list[SpiralPoint]]:
-    """Greedy winding-by-winding linkage of same-divisor points into chains.
-
-    For each point on winding w, the candidate successor is the point on
-    winding w + 1 with the nearest reduced angle; the link is kept if the
-    angular distance is within angular_tol and no closer predecessor claims
-    the same successor (ties break toward smaller n). Linking starts at
-    settle_winding because the innermost windings are too crowded for a
-    greedy nearest-angle rule.
-    """
-    if not points:
-        return []
-    by_winding: dict[int, list[SpiralPoint]] = {}
-    for p in points:
-        by_winding.setdefault(p.winding, []).append(p)
-    links: dict[int, SpiralPoint] = {}  # predecessor n -> successor point
-    claimed: dict[int, tuple[float, int]] = {}  # successor n -> (distance, pred n)
-    for w in sorted(by_winding):
-        if w < settle_winding:
-            continue
-        nxt = by_winding.get(w + 1, [])
-        if not nxt:
-            continue
-        for p in sorted(by_winding[w], key=lambda q: q.n):
-            ra = p.theta % TWO_PI
-            best = min(nxt, key=lambda q: (abs(_circ_diff(q.theta % TWO_PI, ra)), q.n))
-            dist = abs(_circ_diff(best.theta % TWO_PI, ra))
-            if dist > angular_tol:
-                continue
-            prev = claimed.get(best.n)
-            if prev is not None and prev <= (dist, p.n):
-                continue
-            if prev is not None:
-                del links[prev[1]]
-            claimed[best.n] = (dist, p.n)
-            links[p.n] = best
-    # assemble maximal chains
-    succ_ns = {q.n for q in links.values()}
-    chains: list[list[SpiralPoint]] = []
-    chained: set[int] = set()
-    for w in sorted(by_winding):
-        if w < settle_winding:
-            continue
-        for p in sorted(by_winding[w], key=lambda q: q.n):
-            if p.n in succ_ns or p.n in chained:
-                continue
-            chain = [p]
-            chained.add(p.n)
-            while chain[-1].n in links:
-                chain.append(links[chain[-1].n])
-                chained.add(chain[-1].n)
-            chains.append(chain)
-    return chains
-
-
-def chains_to_arms(
-    chains: Iterable[Sequence[SpiralPoint]],
-    min_len: int = 5,
-    *,
-    divisor: int,
-    table: SpiralTable | None = None,
-    n_max: int | None = None,
-    config: Config | None = None,
-) -> list[Arm]:
-    """Fit chains to polynomials; keep arms that reproduce every member.
-
-    Chains shorter than min_len are discarded; each survivor is fitted
-    exactly with x re-indexed from 0, rejected if the polynomial fails to
-    reproduce any chain member or the divisibility requirement, and
-    extended forward while values stay inside the table. Inner members
-    (x < 0 before re-indexing) are attached only when the polynomial
-    predicts them exactly and they stay positive.
-    """
-    cfg = config or Config()
-    table = table or shared_table(cfg.n_max)
-    limit = n_max or table.n_max
-    arms: list[Arm] = []
-    seen: set[HalfIntQuadratic] = set()
-    for chain in chains:
-        if len(chain) < min_len:
-            continue
-        pts = [(x, p.n) for x, p in enumerate(chain)]
-        try:
-            q = fit_quadratic(pts)
-        except (NotQuadratic, NotHalfInteger, Inconsistent):
-            continue
-        if not divisible_by(q, divisor):
-            continue
-        q = canonical_shift(q)
-        if q in seen:
-            continue
-        seen.add(q)
-        numbers = _member_numbers(q, limit)
-        if numbers is None or len(numbers) < min_len:
-            continue
-        arms.append(
-            Arm(
-                poly=q,
-                divisor=divisor,
-                members=tuple(table.point(n) for n in numbers),
-                rotation=_direction_of(q, divisor, table, cfg),
-            )
-        )
-    return arms
-
-
-# ---------------------------------------------------------------------------
 # Family enumeration (the discovery core)
 # ---------------------------------------------------------------------------
 
@@ -334,32 +194,6 @@ def canonical_shift(q: HalfIntQuadratic) -> HalfIntQuadratic:
             q = HalfIntQuadratic(q.A, q.B - 2 * q.A, fm1)  # start one step earlier
         else:
             q = HalfIntQuadratic(q.A, q.B + 2 * q.A, q.A + q.B + q.C)
-
-
-def _member_numbers(q: HalfIntQuadratic, n_max: int) -> list[int] | None:
-    """Values f(0), f(1), ... while <= n_max; None if any dips below 1."""
-    out = []
-    x = 0
-    while True:
-        v = q.eval(x)
-        if v > n_max:
-            return out
-        if v < 1:
-            return None
-        out.append(v)
-        x += 1
-
-
-def _early_drift(q: HalfIntQuadratic, table: SpiralTable, cfg: Config) -> float:
-    """Mean per-step drift over the near-centre window of the arm."""
-    tot, cnt = 0.0, 0
-    for x in range(cfg.early_drift_lo, cfg.early_drift_hi):
-        n1 = q.eval(x + 1)
-        if n1 > table.n_max:
-            break
-        tot += table.angle(n1) - table.angle(q.eval(x)) - TWO_PI
-        cnt += 1
-    return tot / max(cnt, 1)
 
 
 def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict[Rotation, int]:
@@ -459,21 +293,6 @@ def enumerate_family_arms(
     return found
 
 
-def _direction_of(
-    q: HalfIntQuadratic, d: int, table: SpiralTable, cfg: Config
-) -> Rotation:
-    """Rotation direction of one arm under the calibrated convention."""
-    fams = families_for(d)
-    pos_a = fams.get(Rotation.POSITIVE)
-    neg_a = fams.get(Rotation.NEGATIVE)
-    if pos_a is not None and neg_a is not None and pos_a != neg_a:
-        if q.A == pos_a:
-            return Rotation.POSITIVE
-        if q.A == neg_a:
-            return Rotation.NEGATIVE
-    return Rotation.POSITIVE if _early_drift(q, table, cfg) < 0 else Rotation.NEGATIVE
-
-
 def discover_arms(
     d: int,
     *,
@@ -483,7 +302,9 @@ def discover_arms(
     """All validated arms for divisor d across its family constants.
 
     Each distinct family constant is enumerated once. When one family
-    serves both directions, the early drift of each arm picks its direction.
+    serves both directions, the sign of each arm's mean drift over the
+    near-centre window early_drift_lo .. early_drift_hi - 1 picks its
+    direction.
     """
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
@@ -492,31 +313,26 @@ def discover_arms(
     for direction in (Rotation.POSITIVE, Rotation.NEGATIVE):
         if direction in fams:
             directions.setdefault(fams[direction], direction)
+    early = range(cfg.early_drift_lo, cfg.early_drift_hi)
     arms: list[Arm] = []
     for A, direction in directions.items():
         for q, numbers in enumerate_family_arms(A, d, table=table, config=cfg):
             if len(directions) == 1:
-                rot = (
-                    Rotation.POSITIVE
-                    if _early_drift(q, table, cfg) < 0
-                    else Rotation.NEGATIVE
-                )
+                rot = rotation_of(q, early, table, epsilon=0.0)
             else:
                 rot = direction
-            arms.append(
-                Arm(
-                    poly=q,
-                    divisor=d,
-                    members=tuple(table.point(n) for n in numbers),
-                    rotation=rot,
-                )
-            )
+            arms.append(Arm(poly=q, divisor=d, members=tuple(numbers), rotation=rot))
     return arms
 
 
 # ---------------------------------------------------------------------------
 # Systems: grouping, spacing, symmetry
 # ---------------------------------------------------------------------------
+
+
+def _circ_diff(a: float, b: float) -> float:
+    """Signed circular difference a - b folded into (-pi, pi]."""
+    return (a - b + math.pi) % TWO_PI - math.pi
 
 
 def _circular_clusters(angles: Sequence[float], gap_rad: float) -> list[list[int]]:
@@ -554,17 +370,14 @@ def _circular_mean(angles: Sequence[float]) -> float:
     return math.atan2(s, c) % TWO_PI
 
 
-def reference_winding(arms: Sequence[Arm]) -> int:
-    """Largest winding common to every arm of the group."""
-    return min(max(p.winding for p in arm.members) for arm in arms)
-
-
 def reference_radius(arms: Sequence[Arm]) -> float:
     """Radius of a circle crossed by every arm of the group."""
-    return min(arm.members[-1].radius for arm in arms)
+    return min(math.sqrt(arm.members[-1]) for arm in arms)
 
 
-def group_into_systems(arms: Sequence[Arm], gap_deg: float = 12.0) -> list[ArmSystem]:
+def group_into_systems(
+    arms: Sequence[Arm], table: SpiralTable, gap_deg: float = 12.0
+) -> list[ArmSystem]:
     """Partition arms by rotation, then cluster asymptotic phases.
 
     Within one direction, arms whose phase angles (B mod 2A scaled to the
@@ -586,7 +399,7 @@ def group_into_systems(arms: Sequence[Arm], gap_deg: float = 12.0) -> list[ArmSy
         for idx in clusters:
             members = tuple(sorted((group[i] for i in idx), key=lambda a: a.poly))
             core = min(members, key=lambda a: (abs(a.vertex_value), a.poly.C))
-            anchor = core.angle_at_radius(r_ref)
+            anchor = core.angle_at_radius(r_ref, table)
             built.append((anchor, members))
         built.sort(key=lambda t: t[0])
         for i, (anchor, members) in enumerate(built, start=1):
@@ -642,7 +455,7 @@ def point_symmetry_pairs(
 
 
 def axis_symmetry(
-    sys_a: ArmSystem, sys_b: ArmSystem, tol_deg: float = 8.0
+    sys_a: ArmSystem, sys_b: ArmSystem, table: SpiralTable, tol_deg: float = 8.0
 ) -> AxisSymmetry:
     """Mirror axis mapping one system's core arms onto the other's.
 
@@ -666,16 +479,16 @@ def axis_symmetry(
 
     def core_anchor(system: ArmSystem) -> float:
         best = min(system.arms, key=lambda a: (abs(a.vertex_value), a.poly.C))
-        return best.angle_at_radius(r_ref)
+        return best.angle_at_radius(r_ref, table)
 
     anchor_a, anchor_b = core_anchor(sys_a), core_anchor(sys_b)
     # bisectors live mod pi; averaging happens on the doubled circle
     axis = 0.5 * _circular_mean([anchor_a + anchor_b])
     worst = 0.0
     for one, other in ((sys_a, sys_b), (sys_b, sys_a)):
-        targets = [b.angle_at_radius(r_ref) for b in other.arms]
+        targets = [b.angle_at_radius(r_ref, table) for b in other.arms]
         for arm in core(one):
-            reflected = (2 * axis - arm.angle_at_radius(r_ref)) % TWO_PI
+            reflected = (2 * axis - arm.angle_at_radius(r_ref, table)) % TWO_PI
             err = min(abs(_circ_diff(reflected, t)) for t in targets)
             worst = max(worst, err)
     return AxisSymmetry(
@@ -742,7 +555,7 @@ def discover(
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
     arms = discover_arms(d, table=table, config=cfg)
-    systems = tuple(group_into_systems(arms, cfg.gap_deg))
+    systems = tuple(group_into_systems(arms, table, cfg.gap_deg))
     spacing: dict[str, float] = {}
     for rot in (Rotation.POSITIVE, Rotation.NEGATIVE):
         group = [s for s in systems if s.rotation is rot]
@@ -756,7 +569,7 @@ def discover(
             [p[0].label, p[1].label] for p in pairs
         ]
         if len(group) == 2:
-            mirror = axis_symmetry(group[0], group[1], cfg.pair_tol_deg)
+            mirror = axis_symmetry(group[0], group[1], table, cfg.pair_tol_deg)
             symmetry[f"axis_{rot.value}"] = {
                 "systems": [group[0].label, group[1].label],
                 "symmetric": mirror.symmetric,
@@ -814,21 +627,23 @@ def _claim_checks(
                 source=dc.source,
             )
         )
-        x_hi = 5
-        while x_hi < 40 and cp.poly.eval(x_hi + 1) <= table.n_max:
-            x_hi += 1
-        computed = rotation_of(
-            cp.poly, range(5, x_hi), table, epsilon=cfg.drift_epsilon_rad
-        )
-        concordant = computed is cp.rotation_label
+        window = range(5, 40)
+        need = max(cp.poly.eval(x + 1) for x in window[:MIN_DRIFT_STEPS])
+        if need > cfg.n_max:
+            status = "mismatched"
+            detail = f"{MIN_DRIFT_STEPS} drift steps from x = {window.start} need n_max >= {need}"
+        else:
+            computed = rotation_of(cp.poly, window, table, epsilon=cfg.drift_epsilon_rad)
+            concordant = computed is cp.rotation_label
+            status = "matched" if concordant else "flagged"
+            detail = f"drift-sign rotation {computed.value}" + (
+                "" if concordant else " (known equal-A discordance, not a failure)"
+            )
         checks.append(
             ClaimCheck(
                 claim=f"{cp.label}: rotation {cp.rotation_label.value}",
-                status="matched" if concordant else "flagged",
-                detail=(
-                    f"drift-sign rotation {computed.value}"
-                    + ("" if concordant else " (known equal-A discordance, not a failure)")
-                ),
+                status=status,
+                detail=detail,
                 source=dc.source,
             )
         )
@@ -895,7 +710,7 @@ def _claim_checks(
         by_label = {s.label: s for s in systems}
         if all(lbl in by_label for lbl in labels):
             result = axis_symmetry(
-                by_label[labels[0]], by_label[labels[1]], cfg.pair_tol_deg
+                by_label[labels[0]], by_label[labels[1]], table, cfg.pair_tol_deg
             )
             chord = _chord_direction(n1, n2, table)
             axis_err = abs(_half_circ_diff(result.axis_angle, chord))

@@ -16,6 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotHalfInteger, NotQuadratic, TooShort
@@ -196,11 +197,8 @@ def asymptotic_drift(A: int) -> float:
     return 2.0 * math.sqrt(A / 2.0) - TWO_PI
 
 
-def mean_drift(q: HalfIntQuadratic, x_range: Iterable[int], table: SpiralTable) -> float:
-    xs = list(x_range)
-    if len(xs) < 5:
-        raise ValueError("x_range must contain at least 5 steps")
-    return sum(drift(q, x, table) for x in xs) / len(xs)
+#: Fewest drift steps a rotation window may ask for.
+MIN_DRIFT_STEPS = 5
 
 
 def rotation_of(
@@ -209,22 +207,22 @@ def rotation_of(
     table: SpiralTable,
     epsilon: float = 0.005,
 ) -> Rotation:
-    """Rotation direction of the arm under the calibrated convention.
+    """Rotation direction of the arm from its mean drift over x_range.
+
+    The window is read up to the table's end: it stops before the first
+    step whose far value f(x+1) lies past table.n_max, and a window with no
+    step left has mean drift 0.
 
     Negative mean drift means the arm falls behind the counterclockwise
     spiral, i.e. it curls clockwise relative to the rays -- those arms carry
     the P label (the convention is anchored on the A=18 arms of the
     divisor-2 family, which are labelled positive in the claims table).
     """
-    m = mean_drift(q, x_range, table)
-    if abs(m) < epsilon:
-        return Rotation.INDETERMINATE
-    return Rotation.POSITIVE if m < 0 else Rotation.NEGATIVE
-
-
-def expected_rotation(A: int, epsilon: float = 0.005) -> Rotation:
-    """Rotation implied by the asymptotic drift of the family constant A."""
-    m = asymptotic_drift(A)
+    xs = list(x_range)
+    if len(xs) < MIN_DRIFT_STEPS:
+        raise ValueError(f"x_range must contain at least {MIN_DRIFT_STEPS} steps")
+    steps = list(takewhile(lambda x: q.eval(x + 1) <= table.n_max, xs))
+    m = sum(drift(q, x, table) for x in steps) / max(len(steps), 1)
     if abs(m) < epsilon:
         return Rotation.INDETERMINATE
     return Rotation.POSITIVE if m < 0 else Rotation.NEGATIVE

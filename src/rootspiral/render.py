@@ -89,7 +89,7 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
     y_sign = 1.0 if scene.mirror else -1.0
 
     def xy(n: int) -> tuple[float, float]:
-        x, y = table.point(n).vertex
+        x, y = table.vertex(n)
         return cx + scale * x, cy + y_sign * scale * y
 
     def polyline(numbers: list[int], color: str, width: float) -> str:
@@ -141,10 +141,10 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
     for system, color in scene.arm_layers:
         parts.append(f'<g id="system-{system.label}">')
         for arm in system.arms:
-            numbers = [n for n in arm.member_numbers if n <= scene.n_max]
+            numbers = [n for n in arm.members if n <= scene.n_max]
             if len(numbers) >= 2:
                 parts.append(polyline(numbers, color, scene.arm_stroke))
-        anchor = system.arms[0].members[0].n if system.arms else None
+        anchor = system.arms[0].members[0] if system.arms else None
         if anchor is not None and anchor <= scene.n_max:
             px, py = xy(anchor)
             parts.append(
@@ -176,7 +176,7 @@ def report_to_dict(report: DivisorReport) -> dict:
                         "B": a.poly.B,
                         "C": a.poly.C,
                         "polynomial": str(a.poly),
-                        "members": list(a.member_numbers[:8]),
+                        "members": list(a.members[:8]),
                         "member_count": len(a.members),
                     }
                     for a in s.arms

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -171,9 +171,6 @@ class SpiralTable:
             raise ValueError("n_terms must be >= 2")
         self._check(n_terms)
         return float(self._theta[n_terms]) - 2.0 * math.sqrt(n_terms)
-
-    def points(self, indices: Iterable[int]) -> list[SpiralPoint]:
-        return [self.point(n) for n in indices]
 
     def write_csv(self, stream: IO[str], n_max: int | None = None) -> None:
         """Bulk export: n, radius, theta_rad, winding, x, y at 18 significant digits."""

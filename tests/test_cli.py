@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +59,27 @@ def test_verify_d17_exits_zero(capsys):
 
 def test_verify_unpublished_divisor_is_usage_error(capsys):
     assert run(["verify", "--divisor", "7"]) == EXIT_USAGE
+    assert "use `discover` instead" in capsys.readouterr().err
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh process, whose spiral table holds exactly --n-max."""
+    return subprocess.run(
+        [sys.executable, "-m", "rootspiral.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_verify_small_n_max_reports_short_rotation_windows():
+    proc = _cli("verify", "--n-max", "1000")
+    assert proc.returncode == EXIT_MISMATCH, proc.stderr
+    assert "N1: rotation negative -- 5 drift steps from x = 5 need n_max >= 1859" in proc.stdout
+
+
+def test_discover_d17_tiny_n_max(tmp_path):
+    out = tmp_path / "d17.json"
+    proc = _cli("discover", "--divisor", "17", "--n-max", "300", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(out.read_text())["parameters"]["n_max"] == 300
 
 
 def test_discover_d7_no_paper_data(tmp_path):
@@ -102,6 +125,16 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     out = tmp_path / "d17.json"
     code = run(["discover", "--divisor", "17", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_USAGE
+
+
+def test_config_file_rejects_short_early_drift_window(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"early_drift_lo": 1, "early_drift_hi": 4}))
+    out = tmp_path / "d17.json"
+    code = run(["discover", "--divisor", "17", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "early drift window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_determinism(tmp_path):

@@ -1,4 +1,4 @@
-"""Arm discovery: linking, fitting, grouping, spacing, symmetry."""
+"""Arm discovery: enumeration, direction, grouping, spacing, symmetry."""
 
 from __future__ import annotations
 
@@ -10,54 +10,102 @@ from rootspiral import discovery
 from rootspiral.claims import claims_for
 from rootspiral.config import Config
 from rootspiral.discovery import (
+    Arm,
     canonical_shift,
-    chains_to_arms,
     discover,
+    discover_arms,
     enumerate_family_arms,
     families_for,
     family_residues,
-    link_chains,
     group_into_systems,
-    multiples_points,
     point_symmetry_pairs,
     axis_symmetry,
     square_number_arms,
     system_spacing,
     verify_paper_table,
 )
-from rootspiral.errors import TooFew, UnknownDivisor
-from rootspiral.quadratics import HalfIntQuadratic, asymptotic_drift
+from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, TooFew
+from rootspiral.quadratics import (
+    HalfIntQuadratic,
+    Rotation,
+    asymptotic_drift,
+    divisible_by,
+    fit_quadratic,
+)
 from rootspiral.spiral import TWO_PI, SpiralTable
 
 
-class TestMultiples:
-    def test_d17_first_multiples(self, table):
-        pts = multiples_points(17, 100, table)
-        assert [p.n for p in pts] == [17, 34, 51, 68, 85]
+def _circ_diff(a, b):
+    return (a - b + math.pi) % TWO_PI - math.pi
 
-    def test_d2_count(self, table):
-        assert len(multiples_points(2, 10, table)) == 5
 
-    def test_points_satisfy_spiral_invariants(self, table):
-        for p in multiples_points(13, 2000, table):
-            assert p.n % 13 == 0
-            assert p.radius == pytest.approx(math.sqrt(p.n))
-            assert p.winding == int(p.theta // TWO_PI)
+def _link_chains(numbers, table, angular_tol=0.35, settle_winding=2):
+    """Greedy winding-by-winding linkage of spiral numbers into chains.
 
-    def test_bad_arguments(self, table):
-        with pytest.raises(ValueError):
-            multiples_points(1, 100, table)
-        with pytest.raises(ValueError):
-            multiples_points(17, 10, table)
+    An independent route to arms: for each number on winding w, the
+    candidate successor is the number on winding w + 1 with the nearest
+    reduced angle. The link is kept if the angular distance is within
+    angular_tol and no closer predecessor claims the same successor (ties
+    break toward smaller n). Linking starts at settle_winding because the
+    innermost windings are too crowded for a greedy nearest-angle rule.
+    """
+    by_winding = {}
+    for n in numbers:
+        by_winding.setdefault(table.winding_of(n), []).append(n)
+    reduced = {n: table.angle(n) % TWO_PI for n in numbers}
+    links = {}  # predecessor -> successor
+    claimed = {}  # successor -> (distance, predecessor)
+    for w in sorted(by_winding):
+        nxt = by_winding.get(w + 1, [])
+        if w < settle_winding or not nxt:
+            continue
+        for n in sorted(by_winding[w]):
+            best = min(nxt, key=lambda m: (abs(_circ_diff(reduced[m], reduced[n])), m))
+            dist = abs(_circ_diff(reduced[best], reduced[n]))
+            if dist > angular_tol:
+                continue
+            prev = claimed.get(best)
+            if prev is not None and prev <= (dist, n):
+                continue
+            if prev is not None:
+                del links[prev[1]]
+            claimed[best] = (dist, n)
+            links[n] = best
+    chains, chained = [], set()
+    for w in sorted(by_winding):
+        if w < settle_winding:
+            continue
+        for n in sorted(by_winding[w]):
+            if n in claimed or n in chained:
+                continue
+            chain = [n]
+            while chain[-1] in links:
+                chain.append(links[chain[-1]])
+            chained.update(chain)
+            chains.append(chain)
+    return chains
+
+
+def _chains_to_polys(chains, d, min_len=5):
+    """Canonical polynomials of the chains that fit a quadratic divisible by d."""
+    polys = []
+    for chain in chains:
+        if len(chain) < min_len:
+            continue
+        try:
+            q = fit_quadratic(list(enumerate(chain)))
+        except (NotQuadratic, NotHalfInteger, Inconsistent):
+            continue
+        if divisible_by(q, d):
+            polys.append(canonical_shift(q))
+    return polys
 
 
 class TestLinkChains:
     def test_single_synthetic_arm_relinks(self, table):
         q = HalfIntQuadratic(18, 42, 16)
-        pts = table.points([q.eval(x) for x in range(3, 13)])
-        chains = link_chains(pts)
-        assert len(chains) == 1
-        assert [p.n for p in chains[0]] == [q.eval(x) for x in range(3, 13)]
+        numbers = [q.eval(x) for x in range(3, 13)]
+        assert _link_chains(numbers, table) == [numbers]
 
     def test_two_far_arms_stay_separate(self, table):
         a = HalfIntQuadratic(18, 42, 16)
@@ -67,51 +115,41 @@ class TestLinkChains:
         # the chain by design)
         sample_a = [a.eval(x) for x in range(3, 13)]
         sample_b = [b.eval(x) for x in range(8, 18)]
-        pts = table.points(sorted(sample_a + sample_b))
-        chains = link_chains(pts)
-        member_sets = sorted(tuple(p.n for p in c) for c in chains)
-        assert len(chains) == 2
-        assert member_sets == sorted([tuple(sample_a), tuple(sample_b)])
+        chains = _link_chains(sorted(sample_a + sample_b), table)
+        assert sorted(chains) == sorted([sample_a, sample_b])
 
     def test_single_point_and_empty(self, table):
-        assert link_chains([]) == []
-        chains = link_chains(table.points([100]))
-        assert len(chains) == 1 and len(chains[0]) == 1
+        assert _link_chains([], table) == []
+        assert _link_chains([100], table) == [[100]]
 
 
 class TestChainsToArms:
-    def test_published_member_lists_recover_their_polynomials(self, table):
+    def test_published_member_lists_recover_their_polynomials(self):
         for d in (2, 3, 5, 11, 13, 17):
             for cp in claims_for(d).polynomials:
-                chain = table.points([cp.poly.eval(x) for x in range(8)])
-                arms = chains_to_arms([chain], divisor=d, table=table)
-                assert len(arms) == 1
-                assert arms[0].poly == canonical_shift(cp.poly), cp.label
+                chain = [cp.poly.eval(x) for x in range(8)]
+                assert _chains_to_polys([chain], d) == [canonical_shift(cp.poly)], cp.label
 
-    def test_corrupted_chain_rejected(self, table):
+    def test_corrupted_chain_rejected(self):
         q = HalfIntQuadratic(18, 42, 16)
         numbers = [q.eval(x) for x in range(8)]
         numbers[5] += 2
-        arms = chains_to_arms([table.points(numbers)], divisor=2, table=table)
-        assert arms == []
+        assert _chains_to_polys([numbers], 2) == []
 
-    def test_arithmetic_chain_rejected(self, table):
-        chain = table.points(list(range(100, 160, 10)))
-        assert chains_to_arms([chain], divisor=2, table=table) == []
+    def test_arithmetic_chain_rejected(self):
+        assert _chains_to_polys([list(range(100, 160, 10))], 2) == []
 
-    def test_short_chain_discarded(self, table):
+    def test_short_chain_discarded(self):
         q = HalfIntQuadratic(18, 42, 16)
-        chain = table.points([q.eval(x) for x in range(4)])
-        assert chains_to_arms([chain], divisor=2, table=table) == []
+        assert _chains_to_polys([[q.eval(x) for x in range(4)]], 2) == []
 
     def test_arm_invariants(self, table):
-        q = HalfIntQuadratic(20, 28, 4)
-        chain = table.points([q.eval(x) for x in range(8)])
-        (arm,) = chains_to_arms([chain], divisor=2, table=table)
-        numbers = arm.member_numbers
+        """A discovered arm is its polynomial's values, one winding apart once settled."""
+        (arm,) = [a for a in discover_arms(2, table=table) if a.poly == HalfIntQuadratic(20, 28, 4)]
+        numbers = arm.members
         assert all(n % 2 == 0 for n in numbers)
         assert all(arm.poly.eval(x) == n for x, n in enumerate(numbers))
-        winds = [p.winding for p in arm.members]
+        winds = [table.winding_of(n) for n in numbers]
         settled = winds[2:]
         assert all(b - a == 1 for a, b in zip(settled, settled[1:]))
 
@@ -125,14 +163,16 @@ class TestRediscoveryClosure:
         across the tolerance by design and are found by family enumeration
         instead.
         """
+        checked = 0
         for d in (2, 3, 5):
             for system in discover(d, table=table).systems:
                 for arm in system.arms[:2]:
                     if abs(asymptotic_drift(arm.poly.A)) > 0.35:
                         continue
-                    chains = link_chains(arm.members)
-                    arms = chains_to_arms(chains, divisor=d, table=table)
-                    assert any(a.poly == arm.poly for a in arms), str(arm.poly)
+                    polys = _chains_to_polys(_link_chains(arm.members, table), d)
+                    assert arm.poly in polys, str(arm.poly)
+                    checked += 1
+        assert checked > 0
 
 
 def _scalar_member_numbers(q, n_max):
@@ -226,6 +266,41 @@ class TestFamilyEnumeration:
         assert sorted(calls) == sorted(set(families_for(d).values()))
 
 
+def _early_drift(q, table, cfg):
+    """Mean per-step drift over the near-centre window, up to the table's end."""
+    tot, cnt = 0.0, 0
+    for x in range(cfg.early_drift_lo, cfg.early_drift_hi):
+        n1 = q.eval(x + 1)
+        if n1 > table.n_max:
+            break
+        tot += table.angle(n1) - table.angle(q.eval(x)) - TWO_PI
+        cnt += 1
+    return tot / max(cnt, 1)
+
+
+class TestDirectionSplit:
+    """Where one family serves both directions, early drift splits its arms."""
+
+    @pytest.mark.parametrize("n_max", [300, 1000, 20000])
+    @pytest.mark.parametrize("d", [5, 11, 17])
+    def test_matches_early_drift_oracle(self, d, n_max):
+        assert len(set(families_for(d).values())) == 1
+        cfg = Config(n_max=n_max)
+        table = SpiralTable(n_max)  # nothing to read past n_max
+        arms = discover_arms(d, table=table, config=cfg)
+        assert arms
+        for arm in arms:
+            drift = _early_drift(arm.poly, table, cfg)
+            want = Rotation.POSITIVE if drift < 0 else Rotation.NEGATIVE
+            assert arm.rotation is want, str(arm.poly)
+
+    def test_window_reaches_past_small_table(self):
+        cfg = Config(n_max=300)
+        table = SpiralTable(300)
+        arms = discover_arms(17, table=table, config=cfg)
+        assert any(a.poly.eval(cfg.early_drift_hi) > table.n_max for a in arms)
+
+
 class TestSystems:
     def test_counts_match_published_values(self, reports):
         want = {
@@ -240,12 +315,13 @@ class TestSystems:
             assert reports[d].counts == expected, f"d={d}"
 
     def test_single_arm_single_system(self, table):
-        q = HalfIntQuadratic(18, 42, 16)
-        chain = table.points([q.eval(x) for x in range(8)])
-        arms = chains_to_arms([chain], divisor=2, table=table)
-        systems = group_into_systems(arms)
-        assert len(systems) == 1
-        assert systems[0].arms[0].poly == canonical_shift(q)
+        q = canonical_shift(HalfIntQuadratic(18, 42, 16))
+        members = tuple(q.eval(x) for x in range(8))
+        arm = Arm(poly=q, divisor=2, members=members, rotation=Rotation.POSITIVE)
+        (system,) = group_into_systems([arm], table)
+        assert system.label == "P1"
+        assert system.arms == (arm,)
+        assert system.anchor_angle == arm.angle_at_radius(math.sqrt(members[-1]), table)
 
     def test_labels_unique_and_ordered(self, reports):
         for rep in reports.values():
@@ -302,7 +378,7 @@ class TestSymmetry:
 
     def test_axis_symmetry_d13(self, table, reports):
         neg = [s for s in reports[13].systems if s.rotation.value == "negative"]
-        result = axis_symmetry(neg[0], neg[1])
+        result = axis_symmetry(neg[0], neg[1], table)
         assert result.symmetric
         x1, y1 = table.vertex(116)
         x2, y2 = table.vertex(152)
@@ -310,22 +386,22 @@ class TestSymmetry:
         err = abs((result.axis_angle - chord + math.pi / 2) % math.pi - math.pi / 2)
         assert math.degrees(err) < 10.0
 
-    def test_axis_symmetry_self(self, reports):
+    def test_axis_symmetry_self(self, table, reports):
         system = reports[13].systems[0]
-        result = axis_symmetry(system, system)
+        result = axis_symmetry(system, system, table)
         assert result.symmetric
 
-    def test_axis_symmetry_within_family_rungs(self, reports):
+    def test_axis_symmetry_within_family_rungs(self, table, reports):
         # Rungs of one family carry mirrored member ladders, so adjacent
         # same-direction systems also register as axis-symmetric; the
         # informative quantity is the fitted axis angle itself.
         neg = [s for s in reports[2].systems if s.rotation.value == "negative"][:2]
-        result = axis_symmetry(neg[0], neg[1])
+        result = axis_symmetry(neg[0], neg[1], table)
         assert result.max_error_deg < 8.0
 
-    def test_axis_symmetry_rejects_mixed_divisors(self, reports):
+    def test_axis_symmetry_rejects_mixed_divisors(self, table, reports):
         with pytest.raises(ValueError):
-            axis_symmetry(reports[2].systems[0], reports[3].systems[0])
+            axis_symmetry(reports[2].systems[0], reports[3].systems[0], table)
 
 
 class TestSquareArms:
@@ -362,9 +438,13 @@ class TestVerify:
         assert [c.status for c in rep.paper_match] == ["no-paper-data"]
         assert rep.counts["positive"] + rep.counts["negative"] > 0
 
-    def test_unknown_divisor_claims(self):
-        with pytest.raises(UnknownDivisor):
-            claims_for(7)
+    def test_rotation_claim_without_five_steps_is_mismatched(self, table):
+        (rep,) = verify_paper_table(17, table=table, config=Config(n_max=1000))
+        rows = {c.claim: c for c in rep.paper_match}
+        short = rows["N1: rotation negative"]  # f(10) = 1666
+        assert short.status == "mismatched"
+        assert short.detail == "5 drift steps from x = 5 need n_max >= 1666"
+        assert rows["P1: rotation positive"].status == "matched"  # f(10) = 969
 
     def test_no_mismatches_anywhere(self, reports):
         for d, rep in reports.items():

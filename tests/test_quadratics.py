@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rootspiral.claims import all_claims, all_polynomials
 from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, TooShort
 from rootspiral.quadratics import (
+    MIN_DRIFT_STEPS,
     DifferenceTable,
     HalfIntQuadratic,
     Rotation,
@@ -19,10 +20,10 @@ from rootspiral.quadratics import (
     difference_table,
     divisible_by,
     drift,
-    expected_rotation,
     fit_quadratic,
     rotation_of,
 )
+from rootspiral.spiral import SpiralTable
 
 P1_D2 = HalfIntQuadratic(18, 42, 16)  # 9x^2 + 21x + 8
 
@@ -201,14 +202,23 @@ class TestDrift:
         assert rotation_of(HalfIntQuadratic(20, 28, 4), xr, table) is Rotation.NEGATIVE
         assert rotation_of(HalfIntQuadratic(26, 104, 78), xr, table) is Rotation.NEGATIVE
 
-    def test_expected_rotation(self):
-        assert expected_rotation(18) is Rotation.POSITIVE
-        assert expected_rotation(20) is Rotation.NEGATIVE
-        assert expected_rotation(26) is Rotation.NEGATIVE
+    def test_rotation_window_stops_at_table_end(self):
+        small = SpiralTable(1000)
+        steps = [x for x in range(5, 40) if P1_D2.eval(x + 1) <= small.n_max]
+        assert steps == [5, 6, 7, 8]  # f(10) = 1118 is past the table
+        m = sum(drift(P1_D2, x, small) for x in steps) / len(steps)
+        assert m < -0.005
+        assert rotation_of(P1_D2, range(5, 40), small) is Rotation.POSITIVE
+
+    def test_rotation_window_past_table_end_is_zero_drift(self):
+        small = SpiralTable(300)
+        assert P1_D2.eval(11) > small.n_max
+        assert rotation_of(P1_D2, range(10, 40), small) is Rotation.INDETERMINATE
 
     def test_rotation_needs_enough_steps(self, table):
         with pytest.raises(ValueError):
             rotation_of(P1_D2, range(5, 8), table)
+        assert rotation_of(P1_D2, range(5, 5 + MIN_DRIFT_STEPS), table) is Rotation.POSITIVE
 
 
 def test_count_times_divisor_equals_second_differential():
