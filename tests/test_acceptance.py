@@ -179,5 +179,7 @@ def test_criterion_11_determinism(tmp_path):
     assert len(files) == 18  # 3 files x 6 divisors
     for name in files:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
-    for golden in sorted(GOLDEN.iterdir()):
+    goldens = sorted(GOLDEN.glob("*_d*"))  # the report and figure goldens
+    assert len(goldens) == 13
+    for golden in goldens:
         assert (runs[0] / golden.name).read_bytes() == golden.read_bytes(), golden.name

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rootspiral.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 from rootspiral.config import OUTPUT_DIR_ENV
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_spiral_writes_csv(tmp_path):
@@ -73,6 +77,14 @@ def test_verify_small_n_max_reports_short_rotation_windows():
     proc = _cli("verify", "--n-max", "1000")
     assert proc.returncode == EXIT_MISMATCH, proc.stderr
     assert "N1: rotation negative -- 5 drift steps from x = 5 need n_max >= 1859" in proc.stdout
+
+
+def test_spiral_csv_matches_pinned_digest(tmp_path):
+    out = tmp_path / "spiral.csv"
+    proc = _cli("spiral", "--n-max", "20000", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    pinned = (GOLDEN / "spiral_20000.csv.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
 
 
 def test_discover_d17_tiny_n_max(tmp_path):
