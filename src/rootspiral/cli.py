@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 from .claims import claimed_divisors, claims_for
 from .config import Config
@@ -29,22 +30,32 @@ EXIT_USAGE = 2
 FIGURE_N_MAX = 2000
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write through a hidden temporary file in the target directory.
+@contextmanager
+def _atomic_open(path: Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a hidden temporary file in the target directory for writing.
 
-    The temporary file is created with mode 0666 less the process umask,
-    so the renamed file gets the same mode as any newly created file.
+    The handle is `open(fd, mode, **kwargs)`. When the block ends normally
+    the file is closed and renamed over `path`; on any exception it is
+    removed and `path` is left as it was. The temporary file is created with
+    mode 0666 less the process umask, so the renamed file gets the same mode
+    as any newly created file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with open(fd, mode, **kwargs) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write `data` to `path` atomically (see _atomic_open)."""
+    with _atomic_open(path) as handle:
+        handle.write(data)
 
 
 def _load_config(args: argparse.Namespace) -> Config:
@@ -68,11 +79,8 @@ def _cmd_spiral(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     table = shared_table(cfg.n_max)
     path = _out_path(cfg, args.out, f"spiral_{cfg.n_max}.csv")
-    import io
-
-    buf = io.StringIO()
-    table.write_csv(buf, cfg.n_max)
-    _atomic_write(path, buf.getvalue().encode("utf-8"))
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as handle:
+        table.write_csv(handle, cfg.n_max)
     print(f"wrote {path} ({cfg.n_max} points)")
     return EXIT_OK
 

@@ -318,7 +318,7 @@ def discover_arms(
     for A, direction in directions.items():
         for q, numbers in enumerate_family_arms(A, d, table=table, config=cfg):
             if len(directions) == 1:
-                rot = rotation_of(q, early, table, epsilon=0.0)
+                rot = rotation_of(q, early, table, epsilon=0.0, n_max=cfg.n_max)
             else:
                 rot = direction
             arms.append(Arm(poly=q, divisor=d, members=tuple(numbers), rotation=rot))
@@ -633,7 +633,9 @@ def _claim_checks(
             status = "mismatched"
             detail = f"{MIN_DRIFT_STEPS} drift steps from x = {window.start} need n_max >= {need}"
         else:
-            computed = rotation_of(cp.poly, window, table, epsilon=cfg.drift_epsilon_rad)
+            computed = rotation_of(
+                cp.poly, window, table, epsilon=cfg.drift_epsilon_rad, n_max=cfg.n_max
+            )
             concordant = computed is cp.rotation_label
             status = "matched" if concordant else "flagged"
             detail = f"drift-sign rotation {computed.value}" + (

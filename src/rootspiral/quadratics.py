@@ -206,12 +206,14 @@ def rotation_of(
     x_range: Iterable[int],
     table: SpiralTable,
     epsilon: float = 0.005,
+    *,
+    n_max: int | None = None,
 ) -> Rotation:
     """Rotation direction of the arm from its mean drift over x_range.
 
-    The window is read up to the table's end: it stops before the first
-    step whose far value f(x+1) lies past table.n_max, and a window with no
-    step left has mean drift 0.
+    The window is read up to n_max (default: the table's end, and never
+    past it): it stops before the first step whose far value f(x+1) lies
+    past that limit, and a window with no step left has mean drift 0.
 
     Negative mean drift means the arm falls behind the counterclockwise
     spiral, i.e. it curls clockwise relative to the rays -- those arms carry
@@ -221,7 +223,8 @@ def rotation_of(
     xs = list(x_range)
     if len(xs) < MIN_DRIFT_STEPS:
         raise ValueError(f"x_range must contain at least {MIN_DRIFT_STEPS} steps")
-    steps = list(takewhile(lambda x: q.eval(x + 1) <= table.n_max, xs))
+    limit = table.n_max if n_max is None else min(n_max, table.n_max)
+    steps = list(takewhile(lambda x: q.eval(x + 1) <= limit, xs))
     m = sum(drift(q, x, table) for x in steps) / max(len(steps), 1)
     if abs(m) < epsilon:
         return Rotation.INDETERMINATE

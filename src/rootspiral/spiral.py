@@ -24,6 +24,15 @@ TWO_PI = 2.0 * math.pi
 
 _BLOCK = 4096
 
+#: Terms computed per step of a table build. A multiple of _BLOCK, so the
+#: summation blocks, and with them every angle, are those of a one-shot build.
+_GROW_TERMS = 1 << 16
+
+#: Rows formatted per write by SpiralTable.write_csv; bounds its temporaries.
+_CSV_ROWS = 1 << 14
+
+_CSV_ROW = "%d,%.17e,%.17e,%d,%.17e,%.17e\n".__mod__
+
 
 @dataclass(frozen=True)
 class SpiralPoint:
@@ -56,7 +65,7 @@ def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, 
         np.cumsum(block, out=out[start:start + len(block)])
         out[start:start + len(block)] += total + comp
         # compensated update of the running block total
-        x = math.fsum(block) + comp
+        x = math.fsum(block.tolist()) + comp
         t = total + x
         comp = x - (t - total)
         total = t
@@ -81,8 +90,9 @@ class SpiralTable:
         self._grow(n_max)
 
     def _grow(self, n_max: int) -> None:
-        terms = _angle_terms(self._n_max, n_max)
-        self._carry = _compensated_prefix(terms, self._theta[self._n_max + 1:n_max + 1], self._carry)
+        for lo in range(self._n_max, n_max, _GROW_TERMS):
+            hi = min(lo + _GROW_TERMS, n_max)
+            self._carry = _compensated_prefix(_angle_terms(lo, hi), self._theta[lo + 1:hi + 1], self._carry)
         self._n_max = n_max
 
     @property
@@ -173,16 +183,23 @@ class SpiralTable:
         return float(self._theta[n_terms]) - 2.0 * math.sqrt(n_terms)
 
     def write_csv(self, stream: IO[str], n_max: int | None = None) -> None:
-        """Bulk export: n, radius, theta_rad, winding, x, y at 18 significant digits."""
+        """Bulk export: n, radius, theta_rad, winding, x, y at 18 significant digits.
+
+        Rows go out in chunks of _CSV_ROWS, one write per chunk. Each value is
+        the one point(n) gives: x and y use libm's cos and sin, not numpy's,
+        whose SIMD results may differ in the last bit.
+        """
         limit = self._n_max if n_max is None else n_max
         self._check(limit)
         stream.write("n,radius,theta_rad,winding,x,y\n")
-        for n in range(1, limit + 1):
-            p = self.point(n)
-            stream.write(
-                f"{p.n},{p.radius:.17e},{p.theta:.17e},{p.winding},"
-                f"{p.vertex[0]:.17e},{p.vertex[1]:.17e}\n"
-            )
+        for lo in range(1, limit + 1, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, limit + 1)
+            theta = self._theta[lo:hi].tolist()
+            radius = np.sqrt(np.arange(lo, hi, dtype=np.float64)).tolist()
+            winding = [int(t // TWO_PI) for t in theta]
+            x = [r * math.cos(t) for r, t in zip(radius, theta)]
+            y = [r * math.sin(t) for r, t in zip(radius, theta)]
+            stream.write("".join(map(_CSV_ROW, zip(range(lo, hi), radius, theta, winding, x, y))))
 
 
 _shared: SpiralTable | None = None

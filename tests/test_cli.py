@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from rootspiral.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 from rootspiral.config import OUTPUT_DIR_ENV
+from rootspiral.spiral import _CSV_ROWS, SpiralTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +42,32 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
     (tmp_path / "taken").mkdir()  # os.replace cannot put a file over a directory
     assert run(["spiral", "--n-max", "200", "--out", str(tmp_path / "taken")]) == EXIT_USAGE
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_failed_csv_stream_keeps_target(tmp_path, monkeypatch):
+    target = tmp_path / "s.csv"
+    target.write_bytes(b"earlier contents\n")
+    write_csv, writes = SpiralTable.write_csv, []
+
+    class FullDisk:
+        """Passes on the header and the first chunk, then fails."""
+
+        def __init__(self, stream):
+            self.stream = stream
+
+        def write(self, text):
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            writes.append(len(text))
+            return self.stream.write(text)
+
+    monkeypatch.setattr(
+        SpiralTable, "write_csv", lambda table, stream, n_max=None: write_csv(table, FullDisk(stream), n_max)
+    )
+    assert run(["spiral", "--n-max", str(3 * _CSV_ROWS), "--out", str(target)]) == EXIT_USAGE
+    assert len(writes) == 2 and writes[1] > 0
+    assert target.read_bytes() == b"earlier contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 def test_spiral_below_minimum_is_usage_error(tmp_path):

@@ -446,6 +446,20 @@ class TestVerify:
         assert short.detail == "5 drift steps from x = 5 need n_max >= 1666"
         assert rows["P1: rotation positive"].status == "matched"  # f(10) = 969
 
+    def test_outcome_does_not_depend_on_table_size(self):
+        """A run reads the table only up to cfg.n_max, however far it is built."""
+        cfg = Config(n_max=2000)
+        big = discover(5, table=SpiralTable(25000), config=cfg)
+        exact = discover(5, table=SpiralTable(2000), config=cfg)
+        assert [(c.claim, c.status, c.detail) for c in big.paper_match] == [
+            (c.claim, c.status, c.detail) for c in exact.paper_match
+        ]
+        assert [(a.poly, a.rotation) for s in big.systems for a in s.arms] == [
+            (a.poly, a.rotation) for s in exact.systems for a in s.arms
+        ]
+        rows = {c.claim: c.detail for c in exact.paper_match}
+        assert rows["P1: rotation positive"].startswith("drift-sign rotation indeterminate")
+
     def test_no_mismatches_anywhere(self, reports):
         for d, rep in reports.items():
             bad = [c for c in rep.paper_match if c.status == "mismatched"]

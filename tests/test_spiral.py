@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rootspiral.errors import RangeExhausted
-from rootspiral.spiral import TWO_PI, SpiralTable, shared_table
+from rootspiral.spiral import _CSV_ROWS, _GROW_TERMS, TWO_PI, SpiralTable, shared_table
 
 PI = math.pi
 
@@ -150,3 +150,89 @@ def test_csv_export():
     assert float(fields[2]) == pytest.approx(math.pi / 4, rel=1e-15)
     # 18 significant digits survive the round trip
     assert float(fields[2]) == t.angle(2)
+
+
+def _write_csv_oracle(table, stream, n_max=None):
+    """The row-at-a-time CSV export, one point() per row."""
+    limit = table.n_max if n_max is None else n_max
+    stream.write("n,radius,theta_rad,winding,x,y\n")
+    for n in range(1, limit + 1):
+        p = table.point(n)
+        stream.write(
+            f"{p.n},{p.radius:.17e},{p.theta:.17e},{p.winding},"
+            f"{p.vertex[0]:.17e},{p.vertex[1]:.17e}\n"
+        )
+
+
+def _csv(write, table, n_max=None):
+    buf = io.StringIO()
+    write(table, buf, n_max)
+    return buf.getvalue()
+
+
+class TestChunkedCsv:
+    LIMITS = (2, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 3 * _CSV_ROWS + 7)
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return SpiralTable(self.LIMITS[-1])
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_matches_row_oracle(self, exact, limit):
+        assert _csv(SpiralTable.write_csv, exact, limit) == _csv(_write_csv_oracle, exact, limit)
+
+    def test_whole_table(self, exact):
+        assert _csv(SpiralTable.write_csv, exact) == _csv(_write_csv_oracle, exact)
+
+    def test_table_larger_than_limit(self):
+        big = SpiralTable(2 * _CSV_ROWS + 100)
+        limit = _CSV_ROWS + 3
+        assert _csv(SpiralTable.write_csv, big, limit) == _csv(_write_csv_oracle, big, limit)
+
+    def test_one_write_per_chunk(self, exact):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        exact.write_csv(Recorder(), 3 * _CSV_ROWS + 7)
+        assert [w.count("\n") for w in writes] == [1, _CSV_ROWS, _CSV_ROWS, _CSV_ROWS, 7]
+
+    def test_limit_past_table_end(self, exact):
+        with pytest.raises(RangeExhausted):
+            exact.write_csv(io.StringIO(), exact.n_max + 1)
+
+
+def _theta_oracle(*sizes):
+    """The table build in one piece per growth step: all of a step's terms, then one prefix pass."""
+    theta = np.empty(sizes[-1] + 1)
+    theta[0], theta[1] = np.nan, 0.0
+    total, comp, done = 0.0, 0.0, 1
+    for n in sizes:
+        terms = np.arctan(1.0 / np.sqrt(np.arange(done, n, dtype=np.float64)))
+        out = theta[done + 1:n + 1]
+        for start in range(0, len(terms), 4096):
+            block = terms[start:start + 4096]
+            np.cumsum(block, out=out[start:start + len(block)])
+            out[start:start + len(block)] += total + comp
+            x = math.fsum(block) + comp
+            t = total + x
+            comp = x - (t - total)
+            total = t
+        done = n
+    return theta
+
+
+class TestChunkedBuild:
+    SIZES = (_GROW_TERMS - 1, _GROW_TERMS, _GROW_TERMS + 1, _GROW_TERMS + 2, 3 * _GROW_TERMS + 5)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_build_is_bitwise_one_shot(self, n):
+        got = SpiralTable(n).theta_array
+        assert np.array_equal(got.view(np.uint64), _theta_oracle(n).view(np.uint64))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ensure_is_bitwise_one_shot(self, n):
+        got = SpiralTable(1000).ensure(n).theta_array
+        assert np.array_equal(got.view(np.uint64), _theta_oracle(1000, n).view(np.uint64))
