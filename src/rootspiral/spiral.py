@@ -92,7 +92,8 @@ class SpiralTable:
     def _grow(self, n_max: int) -> None:
         for lo in range(self._n_max, n_max, _GROW_TERMS):
             hi = min(lo + _GROW_TERMS, n_max)
-            self._carry = _compensated_prefix(_angle_terms(lo, hi), self._theta[lo + 1:hi + 1], self._carry)
+            terms = _angle_terms(lo, hi)
+            self._carry = _compensated_prefix(terms, self._theta[lo + 1:hi + 1], self._carry)
         self._n_max = n_max
 
     @property

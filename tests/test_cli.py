@@ -61,9 +61,10 @@ def test_failed_csv_stream_keeps_target(tmp_path, monkeypatch):
             writes.append(len(text))
             return self.stream.write(text)
 
-    monkeypatch.setattr(
-        SpiralTable, "write_csv", lambda table, stream, n_max=None: write_csv(table, FullDisk(stream), n_max)
-    )
+    def failing_write_csv(table, stream, n_max=None):
+        write_csv(table, FullDisk(stream), n_max)
+
+    monkeypatch.setattr(SpiralTable, "write_csv", failing_write_csv)
     assert run(["spiral", "--n-max", str(3 * _CSV_ROWS), "--out", str(target)]) == EXIT_USAGE
     assert len(writes) == 2 and writes[1] > 0
     assert target.read_bytes() == b"earlier contents\n"
