@@ -2,9 +2,9 @@
 
 A spiral-graph (arm) is a sequence of natural numbers, one per winding,
 modeled exactly by a half-integer quadratic f(x) = (Ax^2 + Bx + C)/2.
-For a divisor d the family constant A must be a multiple of d (the first
-difference (2Ax + A + B)/2 must stay divisible by d), and the valid
-(B, C) residue classes mod 2d are decided exactly.
+For a divisor d the family constant A must be a multiple of d, and then
+d divides f everywhere exactly when B = -A and C = 0 (mod 2d): one
+residue class per family (quadratics.family_residue).
 
 Discovery enumerates canonical near-centre arms of the relevant families,
 validates each arm geometrically (its per-step angular drift must settle
@@ -18,8 +18,9 @@ in the canonical counterclockwise orientation curls clockwise relative to
 the rays and carries the published P label. When a divisor's two
 directions come from two different family constants, every arm of a
 family inherits the family's asymptotic direction; when a single family
-serves both directions (asymptote near 2*pi^2), the sign of the drift
-averaged over the first few near-centre steps splits the arms.
+serves both directions (asymptote near 2*pi^2, or A = d when d >= 20
+leaves no multiple of d below 2*pi^2), the sign of the drift averaged
+over the first few near-centre steps splits the arms.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .quadratics import (
     Rotation,
     asymptotic_drift,
     divisible_by,
+    family_residue,
     rotation_of,
 )
 from .spiral import TWO_PI, SpiralTable, shared_table
@@ -160,23 +162,6 @@ class DivisorReport:
 # ---------------------------------------------------------------------------
 
 
-def family_residues(A: int, d: int) -> list[tuple[int, int]]:
-    """Valid (B mod 2d, C mod 2d) residue classes for the family (A, d).
-
-    A residue pair is valid when (Ax^2 + Bx + C)/2 is an integer multiple
-    of d for every x in one full period 0 .. 2d-1 (an exact decision).
-    """
-    out = []
-    for br in range(2 * d):
-        if (A + br) % 2:
-            continue
-        for cr in range(0, 2 * d, 2):
-            vals = [(A * x * x + br * x + cr) for x in range(2 * d)]
-            if all(v % 2 == 0 and (v // 2) % d == 0 for v in vals):
-                out.append((br, cr))
-    return out
-
-
 def canonical_shift(q: HalfIntQuadratic) -> HalfIntQuadratic:
     """Shift x so the arm starts at its innermost valid member.
 
@@ -190,10 +175,7 @@ def canonical_shift(q: HalfIntQuadratic) -> HalfIntQuadratic:
         fm1 = q.A - q.B + q.C  # doubled f(-1)
         if q.C >= 2 and (fm1 <= 0 or fm1 > q.C):
             return q
-        if 2 <= fm1 <= q.C:
-            q = HalfIntQuadratic(q.A, q.B - 2 * q.A, fm1)  # start one step earlier
-        else:
-            q = HalfIntQuadratic(q.A, q.B + 2 * q.A, q.A + q.B + q.C)
+        q = q.shifted(-1) if 2 <= fm1 <= q.C else q.shifted(1)
 
 
 def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict[Rotation, int]:
@@ -203,7 +185,9 @@ def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict
     claims table. Otherwise the nearest multiples of d bracketing the
     zero-drift boundary 2*pi^2 are used: the largest A with negative
     asymptotic drift serves the positive direction and the smallest A with
-    positive drift serves the negative direction.
+    positive drift serves the negative direction. When no multiple of d lies
+    below 2*pi^2 (d >= 20), the one family A = d serves both directions and
+    discover_arms splits its arms by early drift, as for d = 17.
     """
     if d < 2:
         raise ValueError(f"divisor must be >= 2, got {d}")
@@ -215,9 +199,8 @@ def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict
         return out
     below = max((a for a in range(d, 60 * d, d) if asymptotic_drift(a) < 0), default=None)
     if below is None:
-        raise ValueError(f"no family constant with negative drift for divisor {d}")
-    above = below + d
-    return {Rotation.POSITIVE: below, Rotation.NEGATIVE: above}
+        return {Rotation.POSITIVE: d, Rotation.NEGATIVE: d}
+    return {Rotation.POSITIVE: below, Rotation.NEGATIVE: below + d}
 
 
 #: Most grid cells (candidates x members) that family enumeration evaluates
@@ -241,14 +224,19 @@ def enumerate_family_arms(
     angular_tol no later than step run_start_max, leaving at least
     min_chain_len settled members.
 
-    Each residue class (B mod 2d, C mod 2d) is one int64 grid: a row per
-    canonical candidate (B, C), a column per x, holding f(x). Since
+    The family's one residue class (B = -A, C = 0 mod 2d) is one int64
+    grid: a row per canonical candidate (B, C), a column per x, holding
+    f(x); a family with d not dividing A has no arms. Since
     B >= -A and C >= 2, 2f(x) > A*x*(x-1), so every row passes n_max once
     x*(x-1) >= 2*n_max/A, which bounds the grid width. The angles of the
     members are gathered from the table's theta array and their step
     drifts tested as whole rows; the settled run starts one past the last
     failing step. Rows are taken in chunks of at most _GRID_CELLS cells.
     """
+    residue = family_residue(A, d)
+    if residue is None:
+        return []
+    br, _ = residue
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
     table.ensure(cfg.n_max)
@@ -259,36 +247,34 @@ def enumerate_family_arms(
     step = np.arange(width - 1)
     rows = max(1, _GRID_CELLS // width)
     found: list[tuple[HalfIntQuadratic, list[int]]] = []
-    for br, cr in family_residues(A, d):
-        c_lo = cr if cr >= 2 else cr + 2 * d
-        B, C = np.meshgrid(
-            np.concatenate(
-                (np.arange(br, cfg.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
-            ),
-            np.arange(c_lo, 2 * cfg.centre_cap + 1, 2 * d),
+    B, C = np.meshgrid(
+        np.concatenate(
+            (np.arange(br, cfg.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
+        ),
+        np.arange(2 * d, 2 * cfg.centre_cap + 1, 2 * d),  # C = 0 (mod 2d) and C >= 2
+    )
+    fm1 = A - B + C  # doubled f(-1)
+    canonical = (fm1 <= 0) | (fm1 > C)  # otherwise the arm starts further in
+    B, C = B[canonical].astype(np.int64), C[canonical].astype(np.int64)
+    for lo in range(0, len(B), rows):
+        b, c = B[lo:lo + rows], C[lo:lo + rows]
+        values = (A * x * x + b[:, None] * x + c[:, None]) // 2
+        count = (values > cfg.n_max).argmax(axis=1)  # members before the first past n_max
+        dips = ((values < 1) & (x < count[:, None])).any(axis=1)
+        th = theta[np.minimum(values, cfg.n_max)]
+        drift = th[:, 1:] - th[:, :-1] - TWO_PI
+        fails = ~(np.abs(drift - target) <= cfg.angular_tol_rad) & (step < count[:, None] - 1)
+        # A run whose last step fails starts at count - 1; the tail gate drops it.
+        start = np.where(fails.any(axis=1), width - 1 - fails[:, ::-1].argmax(axis=1), 0)
+        keep = (
+            ~dips
+            & (count >= cfg.min_chain_len)
+            & (start <= cfg.run_start_max)
+            & (count - start >= cfg.min_chain_len)
         )
-        fm1 = A - B + C  # doubled f(-1)
-        canonical = (fm1 <= 0) | (fm1 > C)  # otherwise the arm starts further in
-        B, C = B[canonical].astype(np.int64), C[canonical].astype(np.int64)
-        for lo in range(0, len(B), rows):
-            b, c = B[lo:lo + rows], C[lo:lo + rows]
-            values = (A * x * x + b[:, None] * x + c[:, None]) // 2
-            count = (values > cfg.n_max).argmax(axis=1)  # members before the first past n_max
-            dips = ((values < 1) & (x < count[:, None])).any(axis=1)
-            th = theta[np.minimum(values, cfg.n_max)]
-            drift = th[:, 1:] - th[:, :-1] - TWO_PI
-            fails = ~(np.abs(drift - target) <= cfg.angular_tol_rad) & (step < count[:, None] - 1)
-            # A run whose last step fails starts at count - 1; the tail gate drops it.
-            start = np.where(fails.any(axis=1), width - 1 - fails[:, ::-1].argmax(axis=1), 0)
-            keep = (
-                ~dips
-                & (count >= cfg.min_chain_len)
-                & (start <= cfg.run_start_max)
-                & (count - start >= cfg.min_chain_len)
-            )
-            for i in np.flatnonzero(keep):
-                q = HalfIntQuadratic(A, int(b[i]), int(c[i]))
-                found.append((q, values[i, :count[i]].tolist()))
+        for i in np.flatnonzero(keep):
+            q = HalfIntQuadratic(A, int(b[i]), int(c[i]))
+            found.append((q, values[i, :count[i]].tolist()))
     found.sort(key=lambda item: (item[0].B % (2 * A), item[0].B, item[0].C))
     return found
 

@@ -86,9 +86,6 @@ class HalfIntQuadratic:
             self.A * s * s + self.B * s + self.C,
         )
 
-    def values(self, x_stop: int, x_start: int = 0) -> list[int]:
-        return [self.eval(x) for x in range(x_start, x_stop)]
-
     def __str__(self) -> str:
         parts = [_half_str(self.A, "x^2")]
         if self.B:
@@ -96,14 +93,6 @@ class HalfIntQuadratic:
         if self.C:
             parts.append(_half_str(self.C))
         return " + ".join(parts)
-
-    def to_json(self, divisor: int | None = None, label: str | None = None) -> dict:
-        obj: dict = {"A": self.A, "B": self.B, "C": self.C}
-        if divisor is not None:
-            obj["divisor"] = divisor
-        if label is not None:
-            obj["label"] = label
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "HalfIntQuadratic":
@@ -169,16 +158,26 @@ def fit_quadratic(points: Sequence[tuple[int, int]]) -> HalfIntQuadratic:
     return q
 
 
-def divisible_by(q: HalfIntQuadratic, d: int) -> bool:
-    """True iff d divides f(x) for every integer x.
+def family_residue(A: int, d: int) -> tuple[int, int] | None:
+    """The (B mod 2d, C mod 2d) class of the multiples of d in the family A.
 
-    The residue sequence of f mod d has period dividing 2d (the numerator is
-    an integer polynomial evaluated mod 2d), so checking x = 0 .. 2d-1 is an
-    exact decision procedure, not a sample.
+    In the Newton basis f(x) = C/2 + ((A + B)/2)*x + A*x*(x-1)/2, and an
+    integer-valued polynomial is a multiple of d at every integer iff each
+    Newton coefficient is (Polya, 1915). So d divides f on the integers iff
+    d | A, A + B = 0 (mod 2d) and C = 0 (mod 2d): one class when d | A,
+    None otherwise.
     """
     if d < 2:
         raise ValueError(f"divisor must be >= 2, got {d}")
-    return all(q.eval(x) % d == 0 for x in range(2 * d))
+    return (-A % (2 * d), 0) if A % d == 0 else None
+
+
+def divisible_by(q: HalfIntQuadratic, d: int) -> bool:
+    """True iff d divides f(x) for every integer x, decided in closed form.
+
+    (B, C) must lie in the single residue class of family_residue(A, d).
+    """
+    return family_residue(q.A, d) == (q.B % (2 * d), q.C % (2 * d))
 
 
 def drift(q: HalfIntQuadratic, x: int, table: SpiralTable) -> float:

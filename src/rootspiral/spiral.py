@@ -56,7 +56,9 @@ def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, 
 
     Block-wise: the prefix inside a block comes from a plain cumsum (short,
     so its rounding is negligible), while the running block total is carried
-    with a Kahan-compensated (sum, correction) pair.
+    with a Kahan-compensated (sum, correction) pair. Only whole blocks
+    advance the returned carry, so a partial last block can be summed again
+    once it has grown.
     """
     total, comp = carry
     n = len(terms)
@@ -64,6 +66,8 @@ def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, 
         block = terms[start:start + _BLOCK]
         np.cumsum(block, out=out[start:start + len(block)])
         out[start:start + len(block)] += total + comp
+        if len(block) < _BLOCK:
+            break
         # compensated update of the running block total
         x = math.fsum(block.tolist()) + comp
         t = total + x
@@ -85,15 +89,19 @@ class SpiralTable:
         self._theta = np.empty(n_max + 1, dtype=np.float64)
         self._theta[0] = np.nan
         self._theta[1] = 0.0
-        self._carry = (0.0, 0.0)
+        self._open_block = 1  # first term of the open (partial) summation block
+        self._carry = (0.0, 0.0)  # compensated sum of the terms before it
         self._n_max = 1
         self._grow(n_max)
 
     def _grow(self, n_max: int) -> None:
-        for lo in range(self._n_max, n_max, _GROW_TERMS):
+        # Resuming at the open block keeps every block where a one-shot build
+        # puts it; the angles rewritten there come out bit-identical.
+        for lo in range(self._open_block, n_max, _GROW_TERMS):
             hi = min(lo + _GROW_TERMS, n_max)
             terms = _angle_terms(lo, hi)
             self._carry = _compensated_prefix(terms, self._theta[lo + 1:hi + 1], self._carry)
+        self._open_block = n_max - (n_max - 1) % _BLOCK
         self._n_max = n_max
 
     @property

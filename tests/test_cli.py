@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from rootspiral import spiral
 from rootspiral.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 from rootspiral.config import OUTPUT_DIR_ENV
-from rootspiral.spiral import _CSV_ROWS, SpiralTable
+from rootspiral.spiral import _CSV_ROWS, SpiralTable, shared_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,12 +109,24 @@ def test_verify_small_n_max_reports_short_rotation_windows():
     assert "N1: rotation negative -- 5 drift steps from x = 5 need n_max >= 1859" in proc.stdout
 
 
+def _pinned_csv_digest():
+    return (GOLDEN / "spiral_20000.csv.sha256").read_text().split()[0]
+
+
 def test_spiral_csv_matches_pinned_digest(tmp_path):
     out = tmp_path / "spiral.csv"
     proc = _cli("spiral", "--n-max", "20000", "--out", str(out))
     assert proc.returncode == EXIT_OK, proc.stderr
-    pinned = (GOLDEN / "spiral_20000.csv.sha256").read_text().split()[0]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _pinned_csv_digest()
+
+
+def test_spiral_csv_digest_after_smaller_shared_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(spiral, "_shared", None)
+    assert shared_table(1000).n_max == 1000
+    out = tmp_path / "spiral.csv"
+    assert run(["spiral", "--n-max", "20000", "--out", str(out)]) == EXIT_OK
+    assert shared_table(1000).n_max == 20000  # the CSV came from the grown table
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _pinned_csv_digest()
 
 
 def test_discover_d17_tiny_n_max(tmp_path):
@@ -129,6 +142,13 @@ def test_discover_d7_no_paper_data(tmp_path):
     data = json.loads(out.read_text())
     assert [c["status"] for c in data["claims"]] == ["no-paper-data"]
     assert data["counts"]["positive"] + data["counts"]["negative"] > 0
+
+
+def test_discover_divisor_without_multiple_below_two_pi_squared(tmp_path):
+    out = tmp_path / "d23.json"
+    assert run(["discover", "--divisor", "23", "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["counts"] == {"positive": 1, "negative": 1}
 
 
 def test_render_writes_svg(tmp_path):

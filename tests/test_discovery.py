@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import time
 
 import pytest
 
 from rootspiral import discovery
-from rootspiral.claims import claims_for
+from rootspiral.claims import all_claims, claims_for
 from rootspiral.config import Config
 from rootspiral.discovery import (
     Arm,
@@ -16,7 +18,6 @@ from rootspiral.discovery import (
     discover_arms,
     enumerate_family_arms,
     families_for,
-    family_residues,
     group_into_systems,
     point_symmetry_pairs,
     axis_symmetry,
@@ -30,8 +31,10 @@ from rootspiral.quadratics import (
     Rotation,
     asymptotic_drift,
     divisible_by,
+    family_residue,
     fit_quadratic,
 )
+from rootspiral.render import export_report
 from rootspiral.spiral import TWO_PI, SpiralTable
 
 
@@ -202,11 +205,24 @@ def _scalar_settled_run_start(q, numbers, theta, tol):
     return start
 
 
+def _scan_family_residues(A, d):
+    """Valid (B mod 2d, C mod 2d) residue classes of the family (A, d), by scanning.
+
+    A residue pair is valid when (Ax^2 + Bx + C)/2 is an integer multiple
+    of d, i.e. Ax^2 + Bx + C = 0 (mod 2d), for every x in one full period
+    0 .. 2d-1 (an exact decision). Each x drops the pairs it rules out.
+    """
+    pairs = [(br, cr) for br in range(2 * d) for cr in range(0, 2 * d, 2)]
+    for x in range(2 * d):
+        pairs = [(br, cr) for br, cr in pairs if (A * x * x + br * x + cr) % (2 * d) == 0]
+    return pairs
+
+
 def _scalar_family_arms(A, d, table, cfg):
     """Family enumeration one candidate and one angle read at a time."""
     theta = table.theta_array.tolist()
     found = []
-    for br, cr in family_residues(A, d):
+    for br, cr in _scan_family_residues(A, d):
         c_lo = cr if cr >= 2 else cr + 2 * d
         for C in range(c_lo, 2 * cfg.centre_cap + 1, 2 * d):
             b_values = list(range(br, cfg.b_hard_max, 2 * d)) + list(
@@ -231,6 +247,12 @@ def _scalar_family_arms(A, d, table, cfg):
 
 
 class TestFamilyEnumeration:
+    def test_family_residue_matches_scan(self):
+        for d in range(2, 41):
+            for A in range(1, 4 * d + 1):
+                got = family_residue(A, d)
+                assert ([] if got is None else [got]) == _scan_family_residues(A, d), (A, d)
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -437,6 +459,28 @@ class TestVerify:
         (rep,) = verify_paper_table(7, table=table)
         assert [c.status for c in rep.paper_match] == ["no-paper-data"]
         assert rep.counts["positive"] + rep.counts["negative"] > 0
+
+    def test_every_divisor_up_to_200_gets_a_report(self, table):
+        """d >= 20 has no multiple below 2*pi^2; past centre_cap no arm starts near the centre."""
+        cfg, claims = Config(), all_claims()
+        started = time.perf_counter()
+        for d in range(2, 201):
+            rep = discover(d, table=table)
+            assert rep.divisor == d
+            assert sum(rep.counts.values()) == len(rep.systems)
+            for s in rep.systems:
+                assert s.label[0] == ("P" if s.rotation is Rotation.POSITIVE else "N")
+                assert all(n % d == 0 for arm in s.arms for n in arm.members), (d, s.label)
+            if d in claims:
+                assert rep.all_matched, d
+            else:
+                assert [c.status for c in rep.paper_match] == ["no-paper-data"], d
+            if d in (20, 23):
+                assert rep.counts == {"positive": 1, "negative": 1}
+            if d > cfg.centre_cap:
+                assert rep.systems == (), d
+            assert json.loads(export_report(rep, "json"))["divisor"] == d
+        assert time.perf_counter() - started < 10.0
 
     def test_rotation_claim_without_five_steps_is_mismatched(self, table):
         (rep,) = verify_paper_table(17, table=table, config=Config(n_max=1000))

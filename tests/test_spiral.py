@@ -204,23 +204,21 @@ class TestChunkedCsv:
             exact.write_csv(io.StringIO(), exact.n_max + 1)
 
 
-def _theta_oracle(*sizes):
-    """The table build in one piece per growth step: all of a step's terms, then one prefix pass."""
-    theta = np.empty(sizes[-1] + 1)
+def _theta_oracle(n):
+    """The table build in one piece: all terms, then one prefix pass."""
+    theta = np.empty(n + 1)
     theta[0], theta[1] = np.nan, 0.0
-    total, comp, done = 0.0, 0.0, 1
-    for n in sizes:
-        terms = np.arctan(1.0 / np.sqrt(np.arange(done, n, dtype=np.float64)))
-        out = theta[done + 1:n + 1]
-        for start in range(0, len(terms), 4096):
-            block = terms[start:start + 4096]
-            np.cumsum(block, out=out[start:start + len(block)])
-            out[start:start + len(block)] += total + comp
-            x = math.fsum(block) + comp
-            t = total + x
-            comp = x - (t - total)
-            total = t
-        done = n
+    terms = np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64)))
+    out = theta[2:]
+    total, comp = 0.0, 0.0
+    for start in range(0, len(terms), 4096):
+        block = terms[start:start + 4096]
+        np.cumsum(block, out=out[start:start + len(block)])
+        out[start:start + len(block)] += total + comp
+        x = math.fsum(block) + comp
+        t = total + x
+        comp = x - (t - total)
+        total = t
     return theta
 
 
@@ -235,4 +233,14 @@ class TestChunkedBuild:
     @pytest.mark.parametrize("n", SIZES)
     def test_ensure_is_bitwise_one_shot(self, n):
         got = SpiralTable(1000).ensure(n).theta_array
-        assert np.array_equal(got.view(np.uint64), _theta_oracle(1000, n).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), _theta_oracle(n).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "steps", [(2,), (4096,), (4097,), (8193,), (19999,), (1000, 5000), (4097, 12289)]
+    )
+    def test_theta_does_not_depend_on_growth(self, steps):
+        table = SpiralTable(steps[0])
+        for n in steps[1:] + (20000,):
+            table.ensure(n)
+        want = SpiralTable(20000).theta_array
+        assert np.array_equal(table.theta_array.view(np.uint64), want.view(np.uint64))
