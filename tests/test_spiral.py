@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,13 @@ from rootspiral.errors import RangeExhausted
 from rootspiral.spiral import _CSV_ROWS, _GROW_TERMS, TWO_PI, SpiralTable, shared_table
 
 PI = math.pi
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def table_1e7():
+    return SpiralTable(10**7)
 
 
 def test_angle_base_cases(table):
@@ -90,8 +99,8 @@ def test_winding_gap_monotone_trend():
     assert abs(t.winding_gap(1000000) - PI) < abs(t.winding_gap(100) - PI)
 
 
-def test_theodorus_constant_cauchy():
-    t = SpiralTable(10000000)
+def test_theodorus_constant_cauchy(table_1e7):
+    t = table_1e7
     est = {k: t.theodorus_constant(k) for k in (10, 100, 10**4, 10**6, 10**7)}
     # successive estimate gaps shrink like 1/sqrt(N): a Cauchy sequence
     gaps = [
@@ -102,6 +111,11 @@ def test_theodorus_constant_cauchy():
     ]
     assert gaps == sorted(gaps, reverse=True)
     assert abs(est[10**7] - est[10**6]) < 1e-3
+
+
+def test_theta_1e7_matches_pinned_digest(table_1e7):
+    want = (GOLDEN / "theta_1e7.sha256").read_text().split()[0]
+    assert hashlib.sha256(table_1e7.theta_array.tobytes()).hexdigest() == want
 
 
 def test_angle_against_extended_precision_oracle():
