@@ -6,8 +6,10 @@ sqrt(n) and the cumulative angle of that ray is
     theta(n) = sum_{k=1}^{n-1} arctan(1 / sqrt(k)),   theta(1) = 0.
 
 Angles are kept unwrapped; reduction mod 2*pi happens only at presentation.
-The sum is accumulated with compensated block summation so the absolute
-angle error stays below 1e-8 even for tables of 10^7 entries.
+The terms are summed in blocks of 4096. Inside a block the prefix is a plain
+cumsum; each whole block's sum is computed exactly and rounded once, and the
+block sums are carried with Kahan compensation, so the absolute angle error
+stays below 1e-8 even for tables of 10^7 entries.
 """
 
 from __future__ import annotations
@@ -51,25 +53,54 @@ def _angle_terms(lo: int, hi: int) -> np.ndarray:
     return np.arctan(1.0 / np.sqrt(k))
 
 
+def _block_sums(rows: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row, bit-equal to math.fsum(row).
+
+    Each term t of a row is split exactly as t = h + l, with h = (t + c) - c
+    and c = 1.5 * 2**(E + 11), where every term of the row is < 2**E. That
+    rounds h to the grid 2**(E - 41), so h is at most 2**41 grid steps, and
+    leaves |l| <= 2**(E - 42) on the grid of the row's smallest ulp. Over
+    2**12 terms every partial sum of either part then fits in 53 bits, so
+    h.sum() and l.sum() are exact in any order. One IEEE addition rounds
+    their total to nearest, ties to even, as math.fsum does.
+
+    The split is exact when the terms are positive and finite (below
+    2**1012, so neither c nor a row sum overflows), each row holds exactly
+    4096 = 2**12 terms, and the binary exponents of a row's largest and
+    smallest terms differ by at most 29. Blocks of arctan(1/sqrt(k)) meet
+    this with room to spare: the widest spread is block 1 (k = 1..4096),
+    whose terms span a ratio of about 50 (6 bits).
+    """
+    _, e = np.frexp(rows.max(axis=1))
+    c = np.ldexp(1.5, e + 11)[:, None]
+    part = rows + c
+    part -= c  # the high parts h
+    high = part.sum(axis=1)
+    np.subtract(rows, part, out=part)  # the low parts l = t - h
+    return high + part.sum(axis=1)
+
+
 def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, float]) -> tuple[float, float]:
     """Write running prefix sums of `terms` into `out`.
 
     Block-wise: the prefix inside a block comes from a plain cumsum (short,
-    so its rounding is negligible), while the running block total is carried
-    with a Kahan-compensated (sum, correction) pair. Only whole blocks
-    advance the returned carry, so a partial last block can be summed again
-    once it has grown.
+    so its rounding is negligible). Each whole block's exact sum, correctly
+    rounded by _block_sums, advances a Kahan-compensated (sum, correction)
+    pair that carries the running total. Only whole blocks advance the
+    returned carry, so a partial last block can be summed again once it has
+    grown.
     """
     total, comp = carry
     n = len(terms)
-    for start in range(0, n, _BLOCK):
+    sums = _block_sums(terms[:n - n % _BLOCK].reshape(-1, _BLOCK)).tolist()
+    for i, start in enumerate(range(0, n, _BLOCK)):
         block = terms[start:start + _BLOCK]
         np.cumsum(block, out=out[start:start + len(block)])
         out[start:start + len(block)] += total + comp
         if len(block) < _BLOCK:
             break
         # compensated update of the running block total
-        x = math.fsum(block.tolist()) + comp
+        x = sums[i] + comp
         t = total + x
         comp = x - (t - total)
         total = t

@@ -160,19 +160,35 @@ class TestDivisibility:
             ), f"{cp.label} d={cp.divisor}"
 
     def test_residue_method_matches_brute_force_on_random_polys(self):
+        """Multiples d*g, near-misses one Newton coefficient off, and random polys."""
         rng = random.Random(20260823)
-        checked = 0
-        while checked < 500:
-            A = rng.randrange(1, 40)
+
+        def random_poly(a_max):
+            A = rng.randrange(1, a_max)
             B = rng.randrange(-60, 60)
             if (A + B) % 2:
                 B += 1
-            C = 2 * rng.randrange(0, 60)
+            return HalfIntQuadratic(A, B, 2 * rng.randrange(0, 60))
+
+        divisible = 0
+        for i in range(500):
             d = rng.randrange(2, 41)
-            q = HalfIntQuadratic(A, B, C)
+            if i % 4 == 3:
+                q = random_poly(40)
+            else:
+                g = random_poly(10)
+                # Newton coefficients of d*g: f(x) = c0 + c1*x + c2*x*(x-1)/2
+                c0, c1, c2 = d * g.C // 2, d * (g.A + g.B) // 2, d * g.A
+                if i % 4 == 2:  # a near-miss: one coefficient off by one
+                    which, step = rng.randrange(3), rng.choice((-1, 1))
+                    c0 += step * (which == 0)
+                    c1 += step * (which == 1)
+                    c2 += step * (which == 2)
+                q = HalfIntQuadratic(c2, 2 * c1 - c2, 2 * c0)
             brute = all(q.eval(x) % d == 0 for x in range(-1000, 1001))
-            assert divisible_by(q, d) == brute
-            checked += 1
+            assert divisible_by(q, d) == brute, (q, d)
+            divisible += brute
+        assert divisible >= 200
 
     def test_rejects_small_divisor(self):
         with pytest.raises(ValueError):

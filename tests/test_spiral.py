@@ -7,11 +7,21 @@ import io
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from rootspiral.errors import RangeExhausted
-from rootspiral.spiral import _CSV_ROWS, _GROW_TERMS, TWO_PI, SpiralTable, shared_table
+from rootspiral.spiral import (
+    _BLOCK,
+    _CSV_ROWS,
+    _GROW_TERMS,
+    TWO_PI,
+    SpiralTable,
+    _angle_terms,
+    _block_sums,
+    shared_table,
+)
 
 PI = math.pi
 
@@ -125,6 +135,44 @@ def test_angle_against_extended_precision_oracle():
     oracle = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
     got = t.theta_array[2 : 1000001].astype(np.longdouble)
     assert float(np.max(np.abs(got - oracle))) < 1e-8
+
+
+def _theodorus_series():
+    """theta(n) ~ 2 sqrt(n) + K + 1/(6 sqrt(n)) - 1/(120 n^(3/2)), from mpmath alone.
+
+    With f(x) = arctan(1/sqrt(x)) and its antiderivative
+    F(x) = x f(x) + sqrt(x) - arctan(sqrt(x)) = 2 sqrt(x) - pi/2 + O(x^-1/2),
+    Euler-Maclaurin from a = 1000 gives
+    K = sum_{k<a} f(k) - F(a) - pi/2 + f(a)/2 - sum_j B_2j/(2j)! f^(2j-1)(a).
+    The same expansion at n gives the two inverse-power terms; the next one
+    is about n^(-5/2) / 840, below 4e-16 for n >= 10^5.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+
+    def f(x):
+        return mp.atan(1 / mp.sqrt(x))
+
+    a = 1000
+    F = a * f(a) + mp.sqrt(a) - mp.atan(mp.sqrt(a))
+    em = mp.fsum(mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, a, 2 * j - 1) for j in (1, 2, 3))
+    K = mp.fsum(f(k) for k in range(1, a)) - F - mp.pi / 2 + f(a) / 2 - em
+
+    def theta(n):
+        r = mp.sqrt(n)
+        return float(2 * r + K + 1 / (6 * r) - 1 / (120 * r**3))
+
+    return float(K), theta
+
+
+def test_theta_matches_theodorus_series_up_to_1e7(table_1e7):
+    """The README's "error < 1e-8 up to n = 10^7", against an independent series."""
+    K, series = _theodorus_series()
+    assert K == pytest.approx(-2.157782996659446, abs=1e-14)  # Davis (1993); Gautschi (2010)
+    rng = np.random.default_rng(20261018)
+    ns = sorted(set(rng.integers(10**5, 10**7, endpoint=True, size=200).tolist()) | {10**5, 10**7})
+    err = max(abs(table_1e7.angle(n) - series(n)) for n in ns)
+    assert err < 1e-8
 
 
 def test_range_errors(table):
@@ -258,3 +306,136 @@ class TestChunkedBuild:
             table.ensure(n)
         want = SpiralTable(20000).theta_array
         assert np.array_equal(table.theta_array.view(np.uint64), want.view(np.uint64))
+
+
+def _fsum_rows(rows):
+    return np.array([math.fsum(row.tolist()) for row in rows])
+
+
+def _exponent_spread(rows):
+    e = np.frexp(rows)[1]
+    return e.max(axis=1) - e.min(axis=1)
+
+
+def _row_summing_to(rng, target_of):
+    """Integers m_0 .. m_4095 that sum exactly to target_of(S).
+
+    S is the sum of a random start row with m_i in [2**23, 2**51); target_of
+    must return an integer in [S, 2*S]. The difference is spread evenly over
+    the row, so every m_i stays in [2**23, 2**52): as doubles their binary
+    exponents span at most 28, inside the precondition of _block_sums.
+    """
+    m = rng.integers(2**23, 2**51, size=_BLOCK).tolist()
+    start = sum(m)
+    target = target_of(start)
+    assert start <= target <= 2 * start
+    share, rest = divmod(target - start, _BLOCK)
+    m = [v + share for v in m]
+    m[-1] += rest
+    assert sum(m) == target and max(m) < 2**52
+    return np.array(m, dtype=np.float64), target
+
+
+def _ulp(total):
+    """Spacing of the doubles in the binade of the positive integer total."""
+    return 2 ** (total.bit_length() - 53)
+
+
+def _tie_rounding_down(total):
+    """The next integer >= total halfway between a double with even mantissa and the one above."""
+    u = _ulp(total)
+    t = total // (2 * u) * 2 * u + u // 2
+    return t if t >= total else t + 2 * u
+
+
+def _tie_rounding_up(total):
+    """The next integer >= total halfway between a double with odd mantissa and the one above."""
+    u = _ulp(total)
+    t = total // (2 * u) * 2 * u + 3 * u // 2
+    return t if t >= total else t + 2 * u
+
+
+def _near_power(ulps):
+    """The power of two P above total, moved by `ulps` times the spacing of the doubles below P."""
+
+    def target(total):
+        p = 1 << total.bit_length()
+        return p + int(ulps * _ulp(p - 1))
+
+    return target
+
+
+class TestBlockSums:
+    """_block_sums is bit-equal to math.fsum, row by row, inside its precondition."""
+
+    def test_random_rows_at_widest_spread(self):
+        rng = np.random.default_rng(20261018)
+        rows, spread = 64, 29
+        base = rng.integers(-1000, 960, size=(rows, 1))
+        e = base + rng.integers(0, spread, endpoint=True, size=(rows, _BLOCK))
+        e[:, 0], e[:, 1] = base[:, 0], base[:, 0] + spread  # every row at the full spread
+        mantissa = rng.integers(2**52, 2**53, size=(rows, _BLOCK)).astype(np.float64)
+        x = np.ldexp(mantissa, e - 53)  # full 53-bit mantissas, frexp exponent e
+        assert np.all(x > 0) and np.all(_exponent_spread(x) == spread)
+        got = _block_sums(x)
+        assert np.array_equal(got.view(np.uint64), _fsum_rows(x).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "target_of, rounds",
+        [
+            (_tie_rounding_down, "tie down"),
+            (_tie_rounding_up, "tie up"),
+            (_near_power(0), "exact"),  # lands on the power of two
+            (_near_power(-1), "exact"),  # the double just below it
+            (_near_power(-0.5), "tie up"),  # rounds up into the next binade
+            (_near_power(-0.25), "up"),
+            (_near_power(1), "tie down"),  # the spacing above P is twice as wide
+            (_near_power(3), "tie up"),
+        ],
+    )
+    def test_exact_sums_on_rounding_edges(self, target_of, rounds):
+        rng = np.random.default_rng(7)
+        for scale in (-900, -113, -70, -63, 0, 40, 900):
+            m, target = _row_summing_to(rng, target_of)
+            nearest = float(target)  # int -> float rounds to nearest, ties to even
+            toward = math.nextafter(nearest, math.inf if target > int(nearest) else -math.inf)
+            if rounds == "exact":
+                assert int(nearest) == target
+            elif rounds.startswith("tie"):
+                assert int(nearest) + int(toward) == 2 * target
+            assert (int(nearest) > target) == rounds.endswith("up")
+            x = np.ldexp(m, scale)[None]
+            assert _block_sums(x)[0] == math.fsum(x[0]) == math.ldexp(nearest, scale)
+
+    @pytest.mark.parametrize("low", [2**40, 2**42])
+    @pytest.mark.parametrize("off_tie", [-1, 1])
+    def test_low_parts_at_their_bound(self, low, off_tie):
+        """Low parts that all share one sign, next to one term at the full spread of 29.
+
+        In units of 2**-82: 4095 terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29,
+        so their low parts sum to ~4095 * low, which on a split grid of 2**41 units
+        (low = 2**40) fills 52 bits, and on a grid four times coarser (low = 2**42)
+        would need 54. One term in [2**-30, 2**-29) puts the exact sum one unit off
+        a tie, so any rounding of the low parts shows in the result.
+        """
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            m = [2**81 + j * 2**44 + low - 2**29 for j in rng.integers(0, 2**36, size=_BLOCK - 1).tolist()]
+            rest = sum(m)
+            u = _ulp(rest)
+            m.append(2**52 + (u // 2 + off_tie - rest - 2**52) % u)
+            total = sum(m)
+            assert total % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
+            x = np.ldexp(np.array(m, dtype=np.float64), -82)[None]
+            assert _exponent_spread(x)[0] == 29
+            assert _block_sums(x)[0] == math.fsum(x[0]) == math.ldexp(float(total), -82)
+
+    def test_real_blocks_of_a_1e7_build(self):
+        terms = _angle_terms(1, 10**7)
+        rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
+        assert len(rows) == 2441
+        spread = _exponent_spread(rows)
+        assert spread[0] == spread.max() == 6  # block 1 is the widest, far inside 29
+        assert _block_sums(rows[:1])[0] == math.fsum(terms[:_BLOCK])
+        got = _block_sums(rows)
+        assert np.array_equal(got.view(np.uint64), _fsum_rows(rows).view(np.uint64))
