@@ -109,6 +109,20 @@ def test_verify_small_n_max_reports_short_rotation_windows():
     assert "N1: rotation negative -- 5 drift steps from x = 5 need n_max >= 1859" in proc.stdout
 
 
+@pytest.mark.parametrize("n_max", [300, 1000, 5000])
+def test_verify_small_n_max_matches_golden(n_max, table, capsys):
+    """Small runs reach the failing claim branches that the report goldens miss.
+
+    They run in-process after the larger session table is built: claim
+    rows read the table only up to --n-max, so the bytes are those of a
+    fresh process.
+    """
+    assert table.n_max > n_max
+    assert run(["verify", "--n-max", str(n_max)]) == EXIT_MISMATCH
+    golden = (GOLDEN / f"verify_n{n_max}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def _pinned_csv_digest():
     return (GOLDEN / "spiral_20000.csv.sha256").read_text().split()[0]
 
