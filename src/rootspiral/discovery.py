@@ -26,12 +26,12 @@ over the first few near-centre steps splits the arms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .claims import DivisorClaims, all_claims
+from .claims import ClaimedPolynomial, DivisorClaims, all_claims, claimed_divisors
 from .config import Config
 from .errors import TooFew
 from .quadratics import (
@@ -322,38 +322,34 @@ def _circ_diff(a: float, b: float) -> float:
 
 
 def _circular_clusters(angles: Sequence[float], gap_rad: float) -> list[list[int]]:
-    """Single-linkage clustering on the circle: split at gaps > gap_rad."""
-    if not angles:
-        return []
+    """Single-linkage clustering on the circle: split at gaps > gap_rad.
+
+    The sorted order is rotated to start just past the last gap and cut
+    after each gap, so the cluster that wraps past 2*pi comes first.
+    """
     order = sorted(range(len(angles)), key=lambda i: angles[i])
     k = len(order)
-    if k == 1:
-        return [order]
-    breaks = [
-        i
-        for i in range(k)
-        if (angles[order[(i + 1) % k]] - angles[order[i]]) % TWO_PI > gap_rad
+    gaps = [
+        i for i in range(k) if (angles[order[(i + 1) % k]] - angles[order[i]]) % TWO_PI > gap_rad
     ]
-    if not breaks:
-        return [order]
-    clusters = []
-    for j, b in enumerate(breaks):
-        a = breaks[j - 1]
-        idx = []
-        i = (a + 1) % k
-        while True:
-            idx.append(order[i])
-            if i == b:
-                break
-            i = (i + 1) % k
-        clusters.append(idx)
-    return clusters
+    if not gaps:
+        return [order] if order else []
+    start = gaps[-1] + 1
+    order = order[start:] + order[:start]
+    ends = [(g - start) % k + 1 for g in gaps]
+    return [order[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def _circular_mean(angles: Sequence[float]) -> float:
     s = sum(math.sin(a) for a in angles)
     c = sum(math.cos(a) for a in angles)
     return math.atan2(s, c) % TWO_PI
+
+
+def _core_arm(arms: Sequence[Arm]) -> Arm:
+    """The arm hugging the family asymptote most closely: smallest
+    |vertex value|, ties broken by the smaller constant term."""
+    return min(arms, key=lambda a: (abs(a.vertex_value), a.poly.C))
 
 
 def reference_radius(arms: Sequence[Arm]) -> float:
@@ -384,8 +380,7 @@ def group_into_systems(
         built = []
         for idx in clusters:
             members = tuple(sorted((group[i] for i in idx), key=lambda a: a.poly))
-            core = min(members, key=lambda a: (abs(a.vertex_value), a.poly.C))
-            anchor = core.angle_at_radius(r_ref, table)
+            anchor = _core_arm(members).angle_at_radius(r_ref, table)
             built.append((anchor, members))
         built.sort(key=lambda t: t[0])
         for i, (anchor, members) in enumerate(built, start=1):
@@ -459,15 +454,9 @@ def axis_symmetry(
 
     def core(system: ArmSystem) -> list[Arm]:
         band = [a for a in system.arms if abs(a.vertex_value) <= 2 * d]
-        if not band:
-            band = [min(system.arms, key=lambda a: abs(a.vertex_value))]
-        return band
+        return band or [_core_arm(system.arms)]
 
-    def core_anchor(system: ArmSystem) -> float:
-        best = min(system.arms, key=lambda a: (abs(a.vertex_value), a.poly.C))
-        return best.angle_at_radius(r_ref, table)
-
-    anchor_a, anchor_b = core_anchor(sys_a), core_anchor(sys_b)
+    anchor_a, anchor_b = (_core_arm(s.arms).angle_at_radius(r_ref, table) for s in (sys_a, sys_b))
     # bisectors live mod pi; averaging happens on the doubled circle
     axis = 0.5 * _circular_mean([anchor_a + anchor_b])
     worst = 0.0
@@ -522,15 +511,6 @@ def square_number_arms(
 # ---------------------------------------------------------------------------
 
 
-def _sequence_matches(q: HalfIntQuadratic, arms: Sequence[Arm]) -> Arm | None:
-    """The discovered arm equal to q as a member-number set, up to x shift."""
-    target = canonical_shift(q)
-    for arm in arms:
-        if arm.poly == target:
-            return arm
-    return None
-
-
 def discover(
     d: int,
     *,
@@ -543,17 +523,13 @@ def discover(
     arms = discover_arms(d, table=table, config=cfg)
     systems = tuple(group_into_systems(arms, table, cfg.gap_deg))
     spacing: dict[str, float] = {}
+    symmetry: dict[str, object] = {}
     for rot in (Rotation.POSITIVE, Rotation.NEGATIVE):
         group = [s for s in systems if s.rotation is rot]
         if len(group) >= 2:
             spacing[rot.value] = system_spacing(group)
-    symmetry: dict[str, object] = {}
-    for rot in (Rotation.POSITIVE, Rotation.NEGATIVE):
-        group = [s for s in systems if s.rotation is rot]
         pairs = point_symmetry_pairs(group, cfg.pair_tol_deg)
-        symmetry[f"point_pairs_{rot.value}"] = [
-            [p[0].label, p[1].label] for p in pairs
-        ]
+        symmetry[f"point_pairs_{rot.value}"] = [[a.label, b.label] for a, b in pairs]
         if len(group) == 2:
             mirror = axis_symmetry(group[0], group[1], table, cfg.pair_tol_deg)
             symmetry[f"axis_{rot.value}"] = {
@@ -562,162 +538,133 @@ def discover(
                 "axis_deg": math.degrees(mirror.axis_angle),
                 "max_error_deg": mirror.max_error_deg,
             }
-    checks = _claim_checks(d, arms, systems, spacing, symmetry, table, cfg)
-    return DivisorReport(
+    report = DivisorReport(
         divisor=d,
         systems=systems,
         spacing_deg=spacing,
         symmetry=symmetry,
-        paper_match=tuple(checks),
+        paper_match=(),
         parameters=cfg.to_dict(),
     )
+    return replace(report, paper_match=_claim_checks(report, arms, table, cfg))
+
+
+#: Claim-row outcome -> status; None marks a known discrepancy, not a failure.
+_STATUS = {True: "matched", False: "mismatched", None: "flagged"}
 
 
 def _claim_checks(
-    d: int,
-    arms: Sequence[Arm],
-    systems: Sequence[ArmSystem],
-    spacing: dict[str, float],
-    symmetry: dict[str, object],
-    table: SpiralTable,
-    cfg: Config,
-) -> list[ClaimCheck]:
-    claims = all_claims()
-    if d not in claims:
-        return [
+    report: DivisorReport, arms: Sequence[Arm], table: SpiralTable, cfg: Config
+) -> tuple[ClaimCheck, ...]:
+    """One row per published claim about the report's divisor."""
+    dc = all_claims().get(report.divisor)
+    if dc is None:
+        return (
             ClaimCheck(
-                claim=f"divisor {d}",
+                claim=f"divisor {report.divisor}",
                 status="no-paper-data",
                 detail="no published table for this divisor; discovery-only report",
                 source="none",
-            )
-        ]
-    dc = claims[d]
-    checks: list[ClaimCheck] = []
+            ),
+        )
+    return tuple(
+        ClaimCheck(claim=claim, status=_STATUS[outcome], detail=detail, source=dc.source)
+        for claim, outcome, detail in _claim_rows(dc, report, arms, table, cfg)
+    )
+
+
+def _claim_rows(
+    dc: DivisorClaims,
+    report: DivisorReport,
+    arms: Sequence[Arm],
+    table: SpiralTable,
+    cfg: Config,
+) -> Iterator[tuple[str, bool | None, str]]:
+    """(claim, outcome, detail) per rule: per polynomial its divisibility,
+    second differential, rotation and recovery; then the system counts,
+    spacings, point pairs and mirror axis."""
+    d = dc.divisor
+    by_poly = {arm.poly: arm for arm in arms}
     for cp in dc.polynomials:
         ok = divisible_by(cp.poly, d)
-        checks.append(
-            ClaimCheck(
-                claim=f"{cp.label}: {cp.poly} divisible by {d}",
-                status="matched" if ok else "mismatched",
-                detail="residue-period check" if ok else "divisibility fails",
-                source=dc.source,
-            )
+        yield (
+            f"{cp.label}: {cp.poly} divisible by {d}",
+            ok,
+            "residue-period check" if ok else "divisibility fails",
         )
-        ok = cp.poly.second_differential == cp.second_differential
-        checks.append(
-            ClaimCheck(
-                claim=f"{cp.label}: second differential = {cp.second_differential}",
-                status="matched" if ok else "mismatched",
-                detail=f"computed {cp.poly.second_differential}",
-                source=dc.source,
-            )
+        yield (
+            f"{cp.label}: second differential = {cp.second_differential}",
+            cp.poly.second_differential == cp.second_differential,
+            f"computed {cp.poly.second_differential}",
         )
-        window = range(5, 40)
-        need = max(cp.poly.eval(x + 1) for x in window[:MIN_DRIFT_STEPS])
-        if need > cfg.n_max:
-            status = "mismatched"
-            detail = f"{MIN_DRIFT_STEPS} drift steps from x = {window.start} need n_max >= {need}"
-        else:
-            computed = rotation_of(
-                cp.poly, window, table, epsilon=cfg.drift_epsilon_rad, n_max=cfg.n_max
-            )
-            concordant = computed is cp.rotation_label
-            status = "matched" if concordant else "flagged"
-            detail = f"drift-sign rotation {computed.value}" + (
-                "" if concordant else " (known equal-A discordance, not a failure)"
-            )
-        checks.append(
-            ClaimCheck(
-                claim=f"{cp.label}: rotation {cp.rotation_label.value}",
-                status=status,
-                detail=detail,
-                source=dc.source,
-            )
+        rotation = _rotation_outcome(cp, table, cfg)
+        yield (f"{cp.label}: rotation {cp.rotation_label.value}", *rotation)
+        found = by_poly.get(canonical_shift(cp.poly))
+        yield (
+            f"{cp.label}: recovered by discovery",
+            found is not None,
+            f"discovered as {found.poly} (members match up to index shift)"
+            if found
+            else "no discovered arm has this member sequence",
         )
-        found = _sequence_matches(cp.poly, arms)
-        checks.append(
-            ClaimCheck(
-                claim=f"{cp.label}: recovered by discovery",
-                status="matched" if found else "mismatched",
-                detail=(
-                    f"discovered as {found.poly} (members match up to index shift)"
-                    if found
-                    else "no discovered arm has this member sequence"
-                ),
-                source=dc.source,
-            )
-        )
-    counts = {"positive": 0, "negative": 0}
-    for s in systems:
-        counts[s.rotation.value] += 1
     for key, want in dc.system_counts.items():
-        got = counts.get(key, 0)
-        checks.append(
-            ClaimCheck(
-                claim=f"{key} system count = {want}",
-                status="matched" if got == want else "mismatched",
-                detail=f"discovered {got}",
-                source=dc.source,
-            )
+        got = report.counts.get(key, 0)
+        yield f"{key} system count = {want}", got == want, f"discovered {got}"
+    for key, want in (dc.spacings_deg or {}).items():
+        got = report.spacing_deg.get(key)
+        yield (
+            f"{key} spacing = {want:g} deg",
+            got is not None and abs(got - want) <= 0.1 * want,
+            f"measured {got:.2f} deg" if got is not None else "fewer than 2 systems",
         )
-    if dc.spacings_deg:
-        for key, want in dc.spacings_deg.items():
-            got = spacing.get(key)
-            ok = got is not None and abs(got - want) <= 0.1 * want
-            checks.append(
-                ClaimCheck(
-                    claim=f"{key} spacing = {want:g} deg",
-                    status="matched" if ok else "mismatched",
-                    detail=f"measured {got:.2f} deg" if got is not None else "fewer than 2 systems",
-                    source=dc.source,
-                )
-            )
     for key, want_pairs in dc.point_symmetric_pairs.items():
         if not want_pairs:
             continue
         # The published pairings are visual judgments; they are verified at
         # the dedicated (wider) claim tolerance, not the strict API default.
-        group = [s for s in systems if s.rotation.value == key]
+        group = [s for s in report.systems if s.rotation.value == key]
         got_pairs = [
-            [p[0].label, p[1].label]
-            for p in point_symmetry_pairs(group, cfg.pair_claim_tol_deg)
+            [a.label, b.label] for a, b in point_symmetry_pairs(group, cfg.pair_claim_tol_deg)
         ]
-        ok = len(got_pairs) == len(want_pairs)
-        checks.append(
-            ClaimCheck(
-                claim=f"{key} point-symmetric pairs = {len(want_pairs)}",
-                status="matched" if ok else "mismatched",
-                detail=f"found {len(got_pairs)}: {got_pairs}",
-                source=dc.source,
-            )
+        yield (
+            f"{key} point-symmetric pairs = {len(want_pairs)}",
+            len(got_pairs) == len(want_pairs),
+            f"found {len(got_pairs)}: {got_pairs}",
         )
     if dc.axis_symmetry:
         labels = dc.axis_symmetry["systems"]
-        n1, n2 = dc.axis_symmetry["chord"]
-        by_label = {s.label: s for s in systems}
-        if all(lbl in by_label for lbl in labels):
-            result = axis_symmetry(
-                by_label[labels[0]], by_label[labels[1]], table, cfg.pair_tol_deg
-            )
-            chord = _chord_direction(n1, n2, table)
-            axis_err = abs(_half_circ_diff(result.axis_angle, chord))
-            ok = result.symmetric and math.degrees(axis_err) <= 10.0
-            detail = (
-                f"axis {math.degrees(result.axis_angle):.1f} deg, chord "
-                f"{math.degrees(chord):.1f} deg, error {math.degrees(axis_err):.1f} deg"
-            )
-        else:
-            ok, detail = False, "claimed systems not found"
-        checks.append(
-            ClaimCheck(
-                claim=f"axis symmetry of {labels[0]}/{labels[1]}",
-                status="matched" if ok else "mismatched",
-                detail=detail,
-                source=dc.source,
-            )
+        claim = f"axis symmetry of {labels[0]}/{labels[1]}"
+        by_label = {s.label: s for s in report.systems}
+        if not all(lbl in by_label for lbl in labels):
+            yield claim, False, "claimed systems not found"
+            return
+        result = axis_symmetry(by_label[labels[0]], by_label[labels[1]], table, cfg.pair_tol_deg)
+        chord = _chord_direction(*dc.axis_symmetry["chord"], table)
+        axis_err = math.degrees(abs(_half_circ_diff(result.axis_angle, chord)))
+        yield (
+            claim,
+            result.symmetric and axis_err <= 10.0,
+            f"axis {math.degrees(result.axis_angle):.1f} deg, chord "
+            f"{math.degrees(chord):.1f} deg, error {axis_err:.1f} deg",
         )
-    return checks
+
+
+def _rotation_outcome(
+    cp: ClaimedPolynomial, table: SpiralTable, cfg: Config
+) -> tuple[bool | None, str]:
+    """Drift-sign rotation of a claimed polynomial over x = 5 .. 39.
+
+    A window that does not fit under n_max fails; a computed direction
+    other than the published one is flagged, not failed.
+    """
+    window = range(5, 40)
+    need = max(cp.poly.eval(x + 1) for x in window[:MIN_DRIFT_STEPS])
+    if need > cfg.n_max:
+        return False, f"{MIN_DRIFT_STEPS} drift steps from x = {window.start} need n_max >= {need}"
+    computed = rotation_of(cp.poly, window, table, epsilon=cfg.drift_epsilon_rad, n_max=cfg.n_max)
+    if computed is cp.rotation_label:
+        return True, f"drift-sign rotation {computed.value}"
+    return None, f"drift-sign rotation {computed.value} (known equal-A discordance, not a failure)"
 
 
 def _half_circ_diff(a: float, b: float) -> float:
@@ -743,12 +690,7 @@ def verify_paper_table(
     A divisor without published data still runs discovery; its report
     carries a single no-paper-data row instead of claim comparisons.
     """
-    from .claims import claimed_divisors
-
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
-    if d is None:
-        divisors = claimed_divisors()
-    else:
-        divisors = [d]
+    divisors = claimed_divisors() if d is None else [d]
     return [discover(dd, table=table, config=cfg) for dd in divisors]
