@@ -90,25 +90,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.divisor is not None:
         claims_for(args.divisor)  # raises UnknownDivisor for unpublished divisors
     reports = verify_paper_table(args.divisor, config=cfg)
-    mismatched, flagged, lines = 0, 0, []
+    lines: list[str] = []
+    flagged: list[str] = []
+    mismatched = 0
     for rep in reports:
         lines.append(f"divisor {rep.divisor}:")
         for check in rep.paper_match:
             lines.append(f"  [{check.status:>10}] {check.claim} -- {check.detail}")
-            if check.status == "mismatched":
-                mismatched += 1
-            elif check.status == "flagged":
-                flagged += 1
+            mismatched += check.status == "mismatched"
+            if check.status == "flagged":
+                flagged.append(f"  {check.claim} -- {check.detail}")
     if flagged:
-        lines.append("")
-        lines.append("known discrepancies (flagged, not failures):")
-        for rep in reports:
-            for check in rep.paper_match:
-                if check.status == "flagged":
-                    lines.append(f"  {check.claim} -- {check.detail}")
+        lines += ["", "known discrepancies (flagged, not failures):", *flagged]
     lines.append("")
     lines.append(
-        f"{mismatched} mismatched, {flagged} flagged, "
+        f"{mismatched} mismatched, {len(flagged)} flagged, "
         f"{sum(len(r.paper_match) for r in reports)} checks total"
     )
     text = "\n".join(lines) + "\n"
@@ -117,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-    return EXIT_MISMATCH if mismatched else EXIT_OK
+    return EXIT_OK if all(r.all_matched for r in reports) else EXIT_MISMATCH
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
