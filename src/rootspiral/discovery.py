@@ -641,12 +641,16 @@ def _claim_rows(
         result = axis_symmetry(by_label[labels[0]], by_label[labels[1]], table, cfg.pair_tol_deg)
         chord = _chord_direction(*dc.axis_symmetry["chord"], table)
         axis_err = math.degrees(abs(_half_circ_diff(result.axis_angle, chord)))
-        yield (
-            claim,
-            result.symmetric and axis_err <= 10.0,
+        detail = (
             f"axis {math.degrees(result.axis_angle):.1f} deg, chord "
-            f"{math.degrees(chord):.1f} deg, error {axis_err:.1f} deg",
+            f"{math.degrees(chord):.1f} deg, error {axis_err:.1f} deg"
         )
+        if not result.symmetric:
+            detail += (
+                f"; not symmetric: core arms mirror to {result.max_error_deg:.1f} deg"
+                f" > {cfg.pair_tol_deg:g} deg"
+            )
+        yield claim, result.symmetric and axis_err <= 10.0, detail
 
 
 def _rotation_outcome(
