@@ -366,8 +366,7 @@ def group_into_systems(
     circle) fall within gap_deg of each other under single linkage form
     one system. Systems are labeled P1..Pk / N1..Nk ordered by anchor
     angle from the positive x-axis; the anchor is the angle where the
-    system's core arm (smallest |vertex value|, i.e. the arm hugging the
-    family asymptote most closely) crosses the group's reference circle.
+    system's core arm (_core_arm) crosses the group's reference circle.
     """
     gap_rad = math.radians(gap_deg)
     systems: list[ArmSystem] = []
@@ -604,7 +603,7 @@ def _claim_rows(
             f"{cp.label}: recovered by discovery",
             found is not None,
             f"discovered as {found.poly} (members match up to index shift)"
-            if found
+            if found is not None
             else "no discovered arm has this member sequence",
         )
     for key, want in dc.system_counts.items():
