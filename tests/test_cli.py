@@ -123,8 +123,8 @@ def test_verify_small_n_max_matches_golden(n_max, table, capsys):
     assert capsys.readouterr().out == golden
 
 
-def _pinned_csv_digest():
-    return (GOLDEN / "spiral_20000.csv.sha256").read_text().split()[0]
+def _pinned_csv_digest(rows=20000):
+    return (GOLDEN / f"spiral_{rows}.csv.sha256").read_text().split()[0]
 
 
 def test_spiral_csv_matches_pinned_digest(tmp_path):
@@ -132,6 +132,14 @@ def test_spiral_csv_matches_pinned_digest(tmp_path):
     proc = _cli("spiral", "--n-max", "20000", "--out", str(out))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _pinned_csv_digest()
+
+
+def test_spiral_csv_matches_pinned_digest_at_bench_size(tmp_path):
+    """The export at the benchmark's 300 000 rows: many chunks, wide integers."""
+    out = tmp_path / "spiral.csv"
+    proc = _cli("spiral", "--n-max", "300000", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _pinned_csv_digest(300000)
 
 
 def test_spiral_csv_digest_after_smaller_shared_table(tmp_path, monkeypatch):
