@@ -28,7 +28,7 @@ class Config:
     """
 
     n_max: int = 20000
-    angular_tol_rad: float = 0.35
+    angular_tol_rad: float = 0.35  # 0.25 loses d = 17 N1 (see the margins below)
     min_chain_len: int = 5
     gap_deg: float = 12.0
     pair_tol_deg: float = 8.0
@@ -37,9 +37,13 @@ class Config:
     mirror: bool = False
     output_dir: str = ""
 
-    # Discovery calibration constants.
-    centre_cap: int = 54           # max f(0) of a near-centre arm start
-    run_start_max: int = 7         # settled drift run must begin by this step
+    # Discovery calibration constants. Margins, measured with
+    # verify_paper_table at the defaults (0 mismatched rows) and pinned by
+    # test_discovery.TestVerify.test_calibration_margins:
+    centre_cap: int = 54           # max f(0) of a near-centre arm start;
+                                   #  40 loses d = 5 N3 and d = 17 N1
+    run_start_max: int = 7         # settled drift run must begin by this step;
+                                   #  5 loses d = 17 N1 and P1
     b_hard_max: int = 1200         # absolute bound on the doubled linear coefficient
     early_drift_lo: int = 1        # near-centre drift window (inclusive lo,
     early_drift_hi: int = 7        #  exclusive hi) for direction of equal-A families

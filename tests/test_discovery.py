@@ -482,6 +482,27 @@ class TestVerify:
             assert json.loads(export_report(rep, "json"))["divisor"] == d
         assert time.perf_counter() - started < 10.0
 
+    @pytest.mark.parametrize(
+        "override, lost",
+        [
+            ({}, []),
+            ({"centre_cap": 40}, [(5, "N3"), (17, "N1")]),
+            ({"run_start_max": 5}, [(17, "N1"), (17, "P1")]),
+            ({"angular_tol_rad": 0.25}, [(17, "N1")]),
+        ],
+        ids=["defaults", "centre_cap=40", "run_start_max=5", "angular_tol_rad=0.25"],
+    )
+    def test_calibration_margins(self, table, override, lost):
+        """How far the calibrated defaults sit from losing a published arm."""
+        rows = [
+            (rep.divisor, c.claim, c.status)
+            for rep in verify_paper_table(table=table, config=Config(**override))
+            for c in rep.paper_match
+        ]
+        assert [(d, claim) for d, claim, status in rows if status == "mismatched"] == [
+            (d, f"{label}: recovered by discovery") for d, label in lost
+        ]
+
     def test_rotation_claim_without_five_steps_is_mismatched(self, table):
         (rep,) = verify_paper_table(17, table=table, config=Config(n_max=1000))
         rows = {c.claim: c for c in rep.paper_match}

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -14,12 +16,16 @@ import pytest
 from rootspiral.errors import RangeExhausted
 from rootspiral.spiral import (
     _BLOCK,
+    _CSV_ROW,
     _CSV_ROWS,
     _GROW_TERMS,
     TWO_PI,
     SpiralTable,
     _angle_terms,
     _block_sums,
+    _csv_text,
+    _float_cells,
+    _text,
     shared_table,
 )
 
@@ -264,6 +270,117 @@ class TestChunkedCsv:
     def test_limit_past_table_end(self, exact):
         with pytest.raises(RangeExhausted):
             exact.write_csv(io.StringIO(), exact.n_max + 1)
+
+
+def _formatted(values):
+    """The values _float_cells prints unlike "%.17e" (at most 10), and its fallback flags.
+
+    A flagged value is not compared: its caller formats it with "%.17e".
+    """
+    v = np.array(values, dtype=np.float64)
+    cells, fallback = _float_cells(v)
+    newline = np.full((len(v), 1), ord("\n"), dtype=np.uint8)
+    fast = _text(np.concatenate([cells, newline], axis=1)).split("\n")[:-1]
+    wrong = [(x, t) for x, t, f in zip(v.tolist(), fast, fallback) if not f and t != "%.17e" % x]
+    return wrong[:10], fallback
+
+
+def _exact_ties(rng, exponents):
+    """Doubles q / 2**(s + 1), q odd: v * 10**s is a whole number plus exactly 1/2.
+
+    q * 5**s < 2**53 * 5**s must reach 2 * 10**17, so there are none past s = 25.
+    """
+    ties = []
+    for s in exponents:
+        lo, hi = -(-2 * 10**17 // 5**s), min(2 * 10**18 // 5**s, 2**53)
+        ties += [math.ldexp(q, -(s + 1)) for q in (rng.randrange(lo, hi) | 1 for _ in range(50)) if q < hi]
+    return ties
+
+
+def _near_ties(exponents, offsets):
+    """Doubles v = q / 2**(j + s) whose v * 10**s is N + 1/2 + r / 2**j, 0 < |r| <= offsets.
+
+    q * 5**s = 2**(j-1) + r (mod 2**j) fixes q mod 2**j, and 10**17 <= N < 10**18
+    with q < 2**53 bounds it; every j > 50 puts them within 2**-50 of a tie.
+    """
+    near = []
+    for s in exponents:
+        for j in range(51, 140):
+            lo, hi = -(-(10**17 << j) // 5**s), min((10**18 << j) // 5**s, 2**53)
+            if lo < hi:
+                inv = pow(5**s, -1, 2**j)
+                for r in range(1, offsets + 1):
+                    for q in (((2**(j - 1) + r) * inv) % 2**j, ((2**(j - 1) - r) * inv) % 2**j):
+                        if lo <= q < hi:
+                            near.append(math.ldexp(q, -(j + s)))
+    return near
+
+
+class TestCsvFormatter:
+    """_float_cells and _csv_text print what "%.17e" and _CSV_ROW print."""
+
+    def test_every_value_of_a_300000_row_export(self):
+        t = SpiralTable(300_000)
+        theta = t.theta_array[1:]
+        radius = np.sqrt(np.arange(1, t.n_max + 1, dtype=np.float64))
+        x = [r * math.cos(a) for r, a in zip(radius.tolist(), theta.tolist())]
+        y = [r * math.sin(a) for r, a in zip(radius.tolist(), theta.tolist())]
+        values = np.concatenate([radius, theta, x, y]).tolist()
+        wrong, fallback = _formatted(values)
+        assert wrong == []
+        assert fallback.sum() == 2  # theta(1) = 0 and y(1) = 0
+
+    def test_seeded_random_doubles(self):
+        rng = np.random.default_rng(20261018)
+        size = 200_000
+        v = rng.choice([-1.0, 1.0], size) * (1 + 9 * rng.random(size)) * 10.0 ** rng.integers(-15, 16, size)
+        wrong, fallback = _formatted(v)
+        assert wrong == []
+        assert np.array_equal(fallback, np.abs(v) >= 1e15)
+
+    def test_exact_ties(self):
+        """Exact below 10**23 (ties to even in the fast path), the fallback above."""
+        rng = random.Random(5)
+        fast, slow = _exact_ties(rng, range(3, 23)), _exact_ties(rng, range(23, 26))
+        wrong, fallback = _formatted(fast + slow)
+        assert wrong == []
+        assert not fallback[:len(fast)].any() and fallback[len(fast):].all()
+        assert len(fast) > 500 and len(slow) > 100
+
+    def test_near_ties_fall_back(self):
+        near = _near_ties(range(23, 60), 40)
+        wrong, fallback = _formatted(near)
+        assert wrong == []
+        assert fallback.all() and len(near) > 200
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for k in range(-100, 17):
+            p = float(Fraction(10) ** k)
+            values += [p, math.nextafter(p, 0), math.nextafter(math.nextafter(p, 0), 0), math.nextafter(p, math.inf)]
+        wrong, _ = _formatted(values + [-v for v in values])
+        assert wrong == []
+
+    def test_values_outside_the_fast_path(self):
+        # the one double just below a power of ten that prints as 1.00..0e+(k+1)
+        assert Fraction(1e153) < 10**153 and "%.17e" % 1e153 == "1.00000000000000000e+153"
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-100, 9.9e-100, 1e153,
+                  math.inf, -math.inf, math.nan, 1e15, -1e15, 1.5e15, 1e300]
+        wrong, fallback = _formatted(values)
+        assert wrong == []
+        assert fallback.all()
+
+    @pytest.mark.parametrize("first", [1, 95, 99_990, 9_999_990])
+    def test_rows_across_integer_widths(self, first):
+        """n and winding widen inside a chunk; zero and non-finite rows splice in."""
+        n = np.arange(first, first + 20)
+        winding = n[::-1] // 3
+        rng = np.random.default_rng(first)
+        floats = [rng.standard_normal(20) * 10.0 ** rng.integers(-20, 14, 20) for _ in range(4)]
+        floats[1][[0, 7, 19]] = 0.0, math.inf, math.nan
+        columns = (n, floats[0], floats[1], winding, floats[2], floats[3])
+        expected = "".join(map(_CSV_ROW, zip(*(c.tolist() for c in columns))))
+        assert _csv_text(*columns) == expected
 
 
 def _theta_oracle(n):
