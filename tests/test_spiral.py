@@ -13,19 +13,16 @@ import mpmath
 import numpy as np
 import pytest
 
+from rootspiral.csvformat import _CSV_ROW, _float_cells, _text, csv_text
 from rootspiral.errors import RangeExhausted
 from rootspiral.spiral import (
     _BLOCK,
-    _CSV_ROW,
     _CSV_ROWS,
     _GROW_TERMS,
     TWO_PI,
     SpiralTable,
     _angle_terms,
     _block_sums,
-    _csv_text,
-    _float_cells,
-    _text,
     shared_table,
 )
 
@@ -317,7 +314,7 @@ def _near_ties(exponents, offsets):
 
 
 class TestCsvFormatter:
-    """_float_cells and _csv_text print what "%.17e" and _CSV_ROW print."""
+    """_float_cells and csv_text print what "%.17e" and _CSV_ROW print."""
 
     def test_every_value_of_a_300000_row_export(self):
         t = SpiralTable(300_000)
@@ -357,7 +354,8 @@ class TestCsvFormatter:
         values = []
         for k in range(-100, 17):
             p = float(Fraction(10) ** k)
-            values += [p, math.nextafter(p, 0), math.nextafter(math.nextafter(p, 0), 0), math.nextafter(p, math.inf)]
+            below = math.nextafter(p, 0)
+            values += [p, below, math.nextafter(below, 0), math.nextafter(p, math.inf)]
         wrong, _ = _formatted(values + [-v for v in values])
         assert wrong == []
 
@@ -380,7 +378,7 @@ class TestCsvFormatter:
         floats[1][[0, 7, 19]] = 0.0, math.inf, math.nan
         columns = (n, floats[0], floats[1], winding, floats[2], floats[3])
         expected = "".join(map(_CSV_ROW, zip(*(c.tolist() for c in columns))))
-        assert _csv_text(*columns) == expected
+        assert csv_text(*columns) == expected
 
 
 def _theta_oracle(n):
