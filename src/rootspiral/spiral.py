@@ -229,9 +229,9 @@ class SpiralTable:
         the one point(n) gives: x and y use libm's cos and sin, not numpy's,
         whose SIMD results may differ in the last bit. The text is that of
         "%.17e" byte for byte: csvformat.csv_text formats it in numpy with
-        exact rounding, and hands the rare value it cannot (zero, or within
-        2**-30 of a rounding tie) to the "%.17e" row formatter, one row at a
-        time.
+        exact rounding, and hands the rare value it cannot print exactly
+        (zero, non-finite, out of range, or within 2**-30 of a rounding tie)
+        to the "%.17e" row formatter, one row at a time.
         """
         limit = self._n_max if n_max is None else n_max
         self._check(limit)
