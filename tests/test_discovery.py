@@ -485,12 +485,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "override, lost",
         [
-            ({}, []),
             ({"centre_cap": 40}, [(5, "N3"), (17, "N1")]),
             ({"run_start_max": 5}, [(17, "N1"), (17, "P1")]),
             ({"angular_tol_rad": 0.25}, [(17, "N1")]),
         ],
-        ids=["defaults", "centre_cap=40", "run_start_max=5", "angular_tol_rad=0.25"],
+        ids=["centre_cap=40", "run_start_max=5", "angular_tol_rad=0.25"],
     )
     def test_calibration_margins(self, table, override, lost):
         """How far the calibrated defaults sit from losing a published arm."""

@@ -2,14 +2,17 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_pair.py --base 73ac3d4 --seed 21 --pairs 10 --out BENCH_9.json
+    python3 tools/bench_pair.py --base 73ac3d4 --seed 21 --out BENCH_9.json
 
-The base commit is exported with `git archive` into a temporary directory,
-and each side runs its own, unchanged `bench/run.py` from its own root, so
-both sides measure with the benchmark code of their checkout. Pair i runs
-every workload on both sides, the base first when i is even and the
-working tree first when it is odd. A side whose `bench/run.py` exits
-non-zero is recorded with its exit code and stderr, and the pairs go on.
+The run length and the workloads come from `BENCHMARK.json`, and every
+comparison runs `PAIRS` pairs, so both sides run as the benchmark sets
+them. The base commit is exported with `git archive` into a temporary
+directory, and each side runs its own, unchanged `bench/run.py` from its
+own root, so both sides measure with the benchmark code of their
+checkout. Pair i runs every workload on both sides, the base first when i
+is even and the working tree first when it is odd. A side whose
+`bench/run.py` exits non-zero is recorded with its exit code and stderr,
+and the pairs go on.
 
 The output JSON holds every result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs in which
@@ -27,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("base", "change")
+PAIRS = 10  # a claimed gain must win at least nine of ten pairs
 
 
 def export_commit(root: Path, rev: str, dest: Path) -> str:
@@ -88,16 +92,13 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="commit to compare the working tree against")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--workload", action="append", help="workload to run (default: all; repeatable)")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True,
                           capture_output=True, text=True).stdout.strip()
     runs = []
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
         base_root = Path(tmp) / "base"
         base_sha = export_commit(root, args.base, base_root)
         checkouts = {"base": base_root, "change": root}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 for side in order:
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
         "change": f"working tree at {head}",
         "seed": args.seed,
         "seconds": seconds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "command": "python3 bench/run.py --workload W --seed SEED --seconds SECONDS --trace 0",
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
