@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -139,3 +140,18 @@ class TestGolden:
         rep = discover(17, table=table)
         golden = (GOLDEN / "figure_d17.svg").read_bytes()
         assert _figure(rep, Config(), FIGURE_N_MAX) == golden
+
+    @pytest.mark.parametrize(
+        "d, mirror", [(2, False), (3, False), (5, False), (11, False), (13, False), (13, True)]
+    )
+    def test_figure_digest(self, reports, d, mirror):
+        """The other figures of `report --all`, and `render --divisor 13 --mirror`."""
+        from rootspiral.cli import FIGURE_N_MAX, _figure
+        from rootspiral.config import Config
+
+        digests = dict(
+            line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines()
+        )
+        name = f"figure_d{d}{'_mirror' if mirror else ''}.svg"
+        svg = _figure(reports[d], Config(mirror=mirror), FIGURE_N_MAX)
+        assert hashlib.sha256(svg).hexdigest() == digests[name]
