@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .config import Config
+from .csvformat import _fmt, fixed4_strings
 from .discovery import ArmSystem, DivisorReport, square_number_arms
 from .errors import RangeExhausted
 from .spiral import SpiralTable, shared_table
@@ -34,12 +37,6 @@ ARM_PALETTE = (
     "#862e9c",  # purple
     "#364fc7",  # navy
 )
-
-
-def _fmt(value: float) -> str:
-    """Fixed 4-decimal coordinate formatting; avoids '-0.0000'."""
-    out = f"{value:.4f}"
-    return "0.0000" if out == "-0.0000" else out
 
 
 @dataclass(frozen=True)
@@ -88,14 +85,15 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
     cx, cy = scene.width / 2.0, scene.height / 2.0
     y_sign = 1.0 if scene.mirror else -1.0
 
-    def xy(n: int) -> tuple[float, float]:
-        x, y = table.vertex(n)
-        return cx + scale * x, cy + y_sign * scale * y
+    # Every point of the figure is a ray n <= n_max: format each ray once.
+    # px[n], py[n] and point[n] are the coordinates of ray n (index 0 unused).
+    _, x, y = table.vertices(1, scene.n_max + 1)
+    coords = fixed4_strings(np.concatenate([cx + scale * x, cy + y_sign * scale * y]))
+    px, py = ["", *coords[:scene.n_max]], ["", *coords[scene.n_max:]]
+    point = list(map(",".join, zip(px, py)))
 
-    def polyline(numbers: list[int], color: str, width: float) -> str:
-        pts = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (xy(n) for n in numbers)
-        )
+    def polyline(numbers, color: str, width: float) -> str:
+        pts = " ".join([point[n] for n in numbers])
         return (
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}" points="{pts}"/>'
@@ -109,7 +107,7 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
         f'<rect width="{_fmt(scene.width)}" height="{_fmt(scene.height)}" '
         f'fill="#ffffff"/>',
         '<g id="spiral">',
-        polyline(list(range(1, scene.n_max + 1)), SPIRAL_COLOR, scene.spiral_stroke),
+        polyline(range(1, scene.n_max + 1), SPIRAL_COLOR, scene.spiral_stroke),
         "</g>",
     ]
 
@@ -117,9 +115,8 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
         d = scene.highlight_divisor
         parts.append('<g id="multiples">')
         for n in range(d, scene.n_max + 1, d):
-            px, py = xy(n)
             parts.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                f'<circle cx="{px[n]}" cy="{py[n]}" '
                 f'r="{_fmt(scene.point_radius)}" fill="{HIGHLIGHT_COLOR}"/>'
             )
         parts.append("</g>")
@@ -146,9 +143,8 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
                 parts.append(polyline(numbers, color, scene.arm_stroke))
         anchor = system.arms[0].members[0] if system.arms else None
         if anchor is not None and anchor <= scene.n_max:
-            px, py = xy(anchor)
             parts.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(py)}" '
+                f'<text x="{px[anchor]}" y="{py[anchor]}" '
                 f'font-family="monospace" font-size="{_fmt(scene.label_size)}" '
                 f'fill="{color}">{system.label}</text>'
             )
@@ -198,42 +194,47 @@ def report_to_dict(report: DivisorReport) -> dict:
 
 
 def export_report(report: DivisorReport, format: str = "json") -> bytes:
-    """Serialize a DivisorReport: 'json' (sorted keys) or 'text' (table)."""
-    data = report_to_dict(report)
+    """Serialize a DivisorReport: 'json' (sorted keys) or 'text' (table).
+
+    The text table prints the JSON view's rounded angles to 2 decimals,
+    round(v, 6) first, so both formats show the same value.
+    """
     if format == "json":
         return (
-            json.dumps(data, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+            json.dumps(report_to_dict(report), indent=2, sort_keys=True, ensure_ascii=True)
+            + "\n"
         ).encode("utf-8")
     if format != "text":
         raise ValueError(f"unknown format: {format!r}")
 
+    counts = report.counts
     lines = [
-        f"divisor {data['divisor']}: "
-        f"{data['counts']['positive']} positive / "
-        f"{data['counts']['negative']} negative systems",
+        f"divisor {report.divisor}: "
+        f"{counts['positive']} positive / "
+        f"{counts['negative']} negative systems",
         "",
     ]
     rows = [("system", "rotation", "anchor_deg", "arms", "leading polynomial")]
-    for s in data["systems"]:
+    for s in report.systems:
         rows.append(
             (
-                s["label"],
-                s["rotation"],
-                f"{s['anchor_deg']:.2f}",
-                str(len(s["arms"])),
-                s["arms"][0]["polynomial"] if s["arms"] else "-",
+                s.label,
+                s.rotation.value,
+                f"{round(math.degrees(s.anchor_angle), 6):.2f}",
+                str(len(s.arms)),
+                str(s.arms[0].poly) if s.arms else "-",
             )
         )
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     lines.append("")
-    for key, value in sorted(data["spacing_deg"].items()):
-        lines.append(f"spacing ({key}): {value:.2f} deg")
+    for key, value in sorted(report.spacing_deg.items()):
+        lines.append(f"spacing ({key}): {round(value, 6):.2f} deg")
     lines.append("")
     crows = [("status", "claim", "detail")]
-    for c in data["claims"]:
-        crows.append((c["status"], c["claim"], c["detail"]))
+    for c in report.paper_match:
+        crows.append((c.status, c.claim, c.detail))
     cw = [max(len(r[i]) for r in crows) for i in range(2)]
     for r in crows:
         lines.append(

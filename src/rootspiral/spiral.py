@@ -177,6 +177,20 @@ class SpiralTable:
         t = self._theta[n]
         return (r * math.cos(t), r * math.sin(t))
 
+    def vertices(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Radius, x and y of rays lo .. hi-1, each bit-equal to vertex(n).
+
+        x and y use libm's cos and sin, as vertex does, not numpy's, whose
+        SIMD results may differ in the last bit.
+        """
+        self._check(lo)
+        self._check(hi - 1)
+        radius = np.sqrt(np.arange(lo, hi, dtype=np.float64))
+        angles = self._theta[lo:hi].tolist()
+        x = radius * np.fromiter(map(math.cos, angles), np.float64, len(angles))
+        y = radius * np.fromiter(map(math.sin, angles), np.float64, len(angles))
+        return radius, x, y
+
     def winding_of(self, n: int) -> int:
         """Index of the full turn containing ray n: floor(theta / 2*pi)."""
         self._check(n)
@@ -226,8 +240,7 @@ class SpiralTable:
         """Bulk export: n, radius, theta_rad, winding, x, y at 18 significant digits.
 
         Rows go out in chunks of _CSV_ROWS, one write per chunk. Each value is
-        the one point(n) gives: x and y use libm's cos and sin, not numpy's,
-        whose SIMD results may differ in the last bit. The text is that of
+        the one point(n) gives; x and y come from vertices. The text is that of
         "%.17e" byte for byte: csvformat.csv_text formats it in numpy with
         exact rounding, and hands the rare value it cannot print exactly
         (zero, non-finite, out of range, or within 2**-30 of a rounding tie)
@@ -239,10 +252,7 @@ class SpiralTable:
         for lo in range(1, limit + 1, _CSV_ROWS):
             hi = min(lo + _CSV_ROWS, limit + 1)
             theta = self._theta[lo:hi]
-            radius = np.sqrt(np.arange(lo, hi, dtype=np.float64))
-            angles = theta.tolist()
-            x = radius * np.fromiter(map(math.cos, angles), np.float64, len(angles))
-            y = radius * np.fromiter(map(math.sin, angles), np.float64, len(angles))
+            radius, x, y = self.vertices(lo, hi)
             winding = np.floor_divide(theta, TWO_PI).astype(np.int64)
             stream.write(csv_text(np.arange(lo, hi), radius, theta, winding, x, y))
 

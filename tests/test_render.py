@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rootspiral.claims import claimed_divisors
+from rootspiral.csvformat import _fixed4_cells, _fmt, _text, fixed4_strings
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
 from rootspiral.render import (
@@ -83,6 +87,94 @@ def test_plotted_vertices_match_spiral(table):
         assert py == pytest.approx(scene.height / 2 - scale * y, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"width": 1e12, "height": 1e12}, {"margin": -1e12}, {"margin": -1e12, "mirror": True}],
+)
+def test_coordinates_past_the_fast_formatter_range(table, overrides):
+    """Coordinates of 12 and 13 integer digits: some printed in numpy, some by _fmt."""
+    scene = Scene(n_max=500, highlight_divisor=7, **overrides)
+    svg = render_svg(scene, table).decode()
+    scale = (min(scene.width, scene.height) / 2 - scene.margin) / math.sqrt(scene.n_max)
+    cx, cy = scene.width / 2, scene.height / 2
+    y_sign = 1.0 if scene.mirror else -1.0
+
+    def expected(n):
+        x, y = table.vertex(n)
+        return _fmt(cx + scale * x), _fmt(cy + y_sign * scale * y)
+
+    pts = re.search(r'points="([^"]*)"', svg).group(1).split()
+    assert pts == [",".join(expected(n)) for n in range(1, scene.n_max + 1)]
+    circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
+    assert circles == [expected(n) for n in range(7, scene.n_max + 1, 7)]
+    wide = [abs(float(c)) >= 2**52 / 10**4 for p in pts for c in p.split(",")]
+    assert any(wide) and not all(wide)
+
+
+def _fixed4_wrong(values):
+    """The values _fixed4_cells prints unlike _fmt (at most 10), and its fallback flags.
+
+    A flagged value is not compared: fixed4_strings formats it with _fmt.
+    """
+    v = np.array(values, dtype=np.float64)
+    cells, fallback = _fixed4_cells(v)
+    newline = np.full((len(v), 1), ord("\n"), dtype=np.uint8)
+    fast = _text(np.concatenate([cells, newline], axis=1)).split("\n")[:-1]
+    wrong = [(x, t) for x, t, f in zip(v.tolist(), fast, fallback) if not f and t != _fmt(x)]
+    assert fixed4_strings(v) == [_fmt(x) for x in v.tolist()]
+    return wrong[:10], fallback
+
+
+class TestFixed4Formatter:
+    """_fixed4_cells and fixed4_strings print what _fmt prints."""
+
+    def test_seeded_random_doubles(self):
+        rng = np.random.default_rng(20261018)
+        size = 100_000
+        uniform = rng.uniform(-1e6, 1e6, size)
+        spread = rng.choice([-1.0, 1.0], size) * (1 + 9 * rng.random(size)) * 10.0 ** rng.integers(-12, 13, size)
+        v = np.concatenate([uniform, spread])
+        wrong, fallback = _fixed4_wrong(v)
+        assert wrong == []
+        assert np.array_equal(fallback, np.abs(v) >= 2**52 / 10**4)
+        assert 0 < fallback.sum() < size // 10
+
+    def test_dyadic_ties_and_their_neighbours(self):
+        """k / 2**j: v * 10**4 is a whole number plus exactly 1/2 for j = 5 and k odd."""
+        rng = np.random.default_rng(5)
+        dyadic = [k / 2.0**j for j in range(13) for k in rng.integers(-(10**11) << j, (10**11) << j, 200).tolist()]
+        dyadic += [k / 32.0 for k in range(-999, 1000, 2)]
+        near = [math.nextafter(v, d) for v in dyadic for d in (-math.inf, math.inf)]
+        wrong, fallback = _fixed4_wrong(dyadic + near)
+        assert wrong == []
+        assert not fallback.any()
+        assert _fmt(0.03125) == "0.0312" and _fmt(0.09375) == "0.0938"  # ties to even
+
+    def test_values_that_round_to_zero(self):
+        wrong, fallback = _fixed4_wrong([-4e-5, -5e-5, 4e-5, 5e-5, 0.0, -0.0, 5e-324, -5e-324])
+        assert wrong == []
+        assert not fallback.any()
+        assert fixed4_strings(np.array([-4e-5, -5e-5, -0.0])) == ["0.0000", "-0.0001", "0.0000"]
+
+    def test_non_finite_values_fall_back(self):
+        wrong, fallback = _fixed4_wrong([math.nan, math.inf, -math.inf])
+        assert wrong == []
+        assert fallback.all()
+
+    def test_twelve_integer_digits_and_the_bound(self):
+        """Below 2**52 / 10**4 the fast path prints 12 integer digits; from it, _fmt."""
+        bound = 2.0**52 / 1e4  # the double is above the exact bound
+        below = [math.nextafter(bound, 0), math.nextafter(math.nextafter(bound, 0), 0),
+                 169101979193.4035, 123456789012.3456, 99999999999.99995, 100000000000.0]
+        above = [bound, math.nextafter(bound, math.inf), 999999999999.9999, 1e12, 1e13, 1e300]
+        values = below + above
+        values += [-v for v in values]
+        wrong, fallback = _fixed4_wrong(values)
+        assert wrong == []
+        assert fallback.tolist() == [Fraction(abs(v)) * 10**4 >= 2**52 for v in values]
+        assert fixed4_strings(np.array([169101979193.4035])) == ["169101979193.4035"]
+
+
 def test_highlight_multiples(table):
     svg = render_svg(Scene(n_max=100, highlight_divisor=17), table).decode()
     assert svg.count("<circle") == 5  # 17, 34, 51, 68, 85
@@ -113,6 +205,23 @@ def test_export_report_text_alignment(table):
     assert lines[0].startswith("divisor 17:")
     header = next(l for l in lines if l.startswith("system"))
     assert "rotation" in header and "anchor_deg" in header
+
+
+def test_export_report_text_rounds_angles_as_the_json_view(reports):
+    """round(v, 6) before :.2f: 0.1349999996 prints 0.14, as its JSON value 0.135 does."""
+    rep = reports[17]
+    first = dataclasses.replace(rep.systems[0], anchor_angle=math.radians(0.1349999996))
+    rep = dataclasses.replace(
+        rep,
+        systems=(first, *rep.systems[1:]),
+        spacing_deg={k: 0.1349999996 for k in rep.spacing_deg},
+    )
+    data = report_to_dict(rep)
+    assert data["systems"][0]["anchor_deg"] == 0.135
+    lines = export_report(rep, "text").decode().split("\n")
+    assert re.match(rf"{first.label}\s+\S+\s+0\.14\s", next(l for l in lines if l.startswith(first.label)))
+    spacing = [l for l in lines if l.startswith("spacing")]
+    assert len(spacing) == len(rep.spacing_deg) and all(l.endswith(": 0.14 deg") for l in spacing)
 
 
 def test_export_report_unknown_format(table):
