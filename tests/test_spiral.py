@@ -59,6 +59,18 @@ def test_vertex_base_cases(table):
     assert math.hypot(x5 - x4, y5 - y4) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_vertices_are_bit_equal_to_vertex(table):
+    radius, x, y = table.vertices(1, table.n_max + 1)
+    assert radius.tolist() == [math.sqrt(n) for n in range(1, table.n_max + 1)]
+    assert list(zip(x.tolist(), y.tolist())) == [table.vertex(n) for n in range(1, table.n_max + 1)]
+    _, x, _ = table.vertices(17, 18)
+    assert x.tolist() == [table.vertex(17)[0]]
+    with pytest.raises(RangeExhausted):
+        table.vertices(1, table.n_max + 2)
+    with pytest.raises(ValueError):
+        table.vertices(0, 5)
+
+
 def test_geometry_invariants_vectorized():
     """Norm, unit leg, orthogonality, and monotone theta for n <= 10^5."""
     t = SpiralTable(100000)
