@@ -114,7 +114,8 @@ def test_coordinates_past_the_fast_formatter_range(table, overrides):
 def _fixed4_wrong(values):
     """The values _fixed4_cells prints unlike _fmt (at most 10), and its fallback flags.
 
-    A flagged value is not compared: fixed4_strings formats it with _fmt.
+    A flagged value is not compared here: fixed4_strings formats it with _fmt,
+    and fixed4_strings is checked against _fmt on every value.
     """
     v = np.array(values, dtype=np.float64)
     cells, fallback = _fixed4_cells(v)
@@ -132,7 +133,8 @@ class TestFixed4Formatter:
         rng = np.random.default_rng(20261018)
         size = 100_000
         uniform = rng.uniform(-1e6, 1e6, size)
-        spread = rng.choice([-1.0, 1.0], size) * (1 + 9 * rng.random(size)) * 10.0 ** rng.integers(-12, 13, size)
+        sign = rng.choice([-1.0, 1.0], size)
+        spread = sign * (1 + 9 * rng.random(size)) * 10.0 ** rng.integers(-12, 13, size)
         v = np.concatenate([uniform, spread])
         wrong, fallback = _fixed4_wrong(v)
         assert wrong == []
@@ -142,7 +144,10 @@ class TestFixed4Formatter:
     def test_dyadic_ties_and_their_neighbours(self):
         """k / 2**j: v * 10**4 is a whole number plus exactly 1/2 for j = 5 and k odd."""
         rng = np.random.default_rng(5)
-        dyadic = [k / 2.0**j for j in range(13) for k in rng.integers(-(10**11) << j, (10**11) << j, 200).tolist()]
+        dyadic = [
+            k / 2.0**j for j in range(13)
+            for k in rng.integers(-(10**11) << j, (10**11) << j, 200).tolist()
+        ]
         dyadic += [k / 32.0 for k in range(-999, 1000, 2)]
         near = [math.nextafter(v, d) for v in dyadic for d in (-math.inf, math.inf)]
         wrong, fallback = _fixed4_wrong(dyadic + near)
