@@ -8,15 +8,15 @@ a column-aligned ASCII table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .config import Config
 from .csvformat import _fmt, fixed4_strings
-from .discovery import ArmSystem, DivisorReport, square_number_arms
+from .discovery import Arm, ArmSystem, DivisorReport, square_number_arms
 from .errors import RangeExhausted
 from .spiral import SpiralTable, shared_table
 
@@ -154,43 +154,87 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def report_to_dict(report: DivisorReport) -> dict:
-    """Stable, JSON-ready view of a DivisorReport."""
-    return {
-        "divisor": report.divisor,
-        "counts": report.counts,
-        "spacing_deg": {k: round(v, 6) for k, v in report.spacing_deg.items()},
-        "symmetry": report.symmetry,
-        "systems": [
-            {
-                "label": s.label,
-                "rotation": s.rotation.value,
-                "anchor_deg": round(math.degrees(s.anchor_angle), 6),
-                "arms": [
-                    {
-                        "A": a.poly.A,
-                        "B": a.poly.B,
-                        "C": a.poly.C,
-                        "polynomial": str(a.poly),
-                        "members": list(a.members[:8]),
-                        "member_count": len(a.members),
-                    }
-                    for a in s.arms
-                ],
-            }
-            for s in report.systems
-        ],
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A container at indent `pad` whose items are already laid out one level deeper."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _json(value: object, pad: str = "") -> str:
+    """`value` as json.dumps(indent=2, sort_keys=True) prints it, nested at `pad`.
+
+    The checks follow json's own order (bool before int), and dict keys
+    must be strings.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return _block([_json(v, inner) for v in value], pad)
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return _block(items, pad, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+#: Indents of the keys of a system dict, of an arm dict and of its keys in the JSON report.
+_SYSTEM_KEY_PAD, _ARM_PAD, _ARM_KEY_PAD = " " * 6, " " * 8, " " * 10
+
+
+def _arm_json(arm: Arm) -> str:
+    """One arm dict of the JSON report; its six keys are in sorted order."""
+    q, k = arm.poly, _ARM_KEY_PAD
+    members = _block(list(map(int.__repr__, arm.members[:8])), k)
+    return (
+        f'{{\n{k}"A": {q.A},\n{k}"B": {q.B},\n{k}"C": {q.C},\n'
+        f'{k}"member_count": {len(arm.members)},\n{k}"members": {members},\n'
+        f'{k}"polynomial": {encode_basestring_ascii(str(q))}\n{_ARM_PAD}}}'
+    )
+
+
+def _system_json(system: ArmSystem) -> str:
+    """One system dict of the JSON report; "arms" sorts between its other keys."""
+    pad = _SYSTEM_KEY_PAD
+    return (
+        f'{{\n{pad}"anchor_deg": {_json(round(math.degrees(system.anchor_angle), 6))},\n'
+        f'{pad}"arms": {_block(list(map(_arm_json, system.arms)), pad)},\n'
+        f'{pad}"label": {_json(system.label)},\n'
+        f'{pad}"rotation": {_json(system.rotation.value)}\n    }}'
+    )
+
+
+def _report_json(report: DivisorReport) -> str:
+    """The text of json.dumps(view, indent=2, sort_keys=True) of the report's JSON view."""
+    head = _json({
         "claims": [
-            {
-                "claim": c.claim,
-                "status": c.status,
-                "detail": c.detail,
-                "source": c.source,
-            }
+            {"claim": c.claim, "detail": c.detail, "source": c.source, "status": c.status}
             for c in report.paper_match
         ],
+        "counts": report.counts,
+        "divisor": report.divisor,
         "parameters": report.parameters,
-    }
+        "spacing_deg": {k: round(v, 6) for k, v in report.spacing_deg.items()},
+        "symmetry": report.symmetry,
+    })
+    # "systems" sorts last: write it in place of the closing brace
+    systems = _block(list(map(_system_json, report.systems)), "  ")
+    return f'{head[:-2]},\n  "systems": {systems}\n}}'
 
 
 def export_report(report: DivisorReport, format: str = "json") -> bytes:
@@ -200,10 +244,7 @@ def export_report(report: DivisorReport, format: str = "json") -> bytes:
     round(v, 6) first, so both formats show the same value.
     """
     if format == "json":
-        return (
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True, ensure_ascii=True)
-            + "\n"
-        ).encode("utf-8")
+        return (_report_json(report) + "\n").encode("ascii")
     if format != "text":
         raise ValueError(f"unknown format: {format!r}")
 

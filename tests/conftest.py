@@ -1,6 +1,9 @@
-"""Shared fixtures: one spiral table and one discovery run per session."""
+"""Shared fixtures: one spiral table and one discovery run per session, and the JSON oracle."""
 
 from __future__ import annotations
+
+import json
+import math
 
 import pytest
 
@@ -21,6 +24,56 @@ def table():
 def reports(table):
     """DivisorReports for every divisor with published data (default config)."""
     return {d: discover(d, table=table) for d in claimed_divisors()}
+
+
+def report_to_dict(report) -> dict:
+    """Stable, JSON-ready view of a DivisorReport."""
+    return {
+        "divisor": report.divisor,
+        "counts": report.counts,
+        "spacing_deg": {k: round(v, 6) for k, v in report.spacing_deg.items()},
+        "symmetry": report.symmetry,
+        "systems": [
+            {
+                "label": s.label,
+                "rotation": s.rotation.value,
+                "anchor_deg": round(math.degrees(s.anchor_angle), 6),
+                "arms": [
+                    {
+                        "A": a.poly.A,
+                        "B": a.poly.B,
+                        "C": a.poly.C,
+                        "polynomial": str(a.poly),
+                        "members": list(a.members[:8]),
+                        "member_count": len(a.members),
+                    }
+                    for a in s.arms
+                ],
+            }
+            for s in report.systems
+        ],
+        "claims": [
+            {
+                "claim": c.claim,
+                "status": c.status,
+                "detail": c.detail,
+                "source": c.source,
+            }
+            for c in report.paper_match
+        ],
+        "parameters": report.parameters,
+    }
+
+
+@pytest.fixture(scope="session")
+def json_oracle():
+    """report -> the bytes `export_report(report, "json")` must equal: json's own text."""
+
+    def oracle(report) -> bytes:
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True, ensure_ascii=True)
+        return (text + "\n").encode("utf-8")
+
+    return oracle
 
 
 def pytest_runtest_logreport(report):

@@ -12,18 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootspiral.claims import claimed_divisors
+from rootspiral.config import Config
 from rootspiral.csvformat import _fixed4_cells, _fmt, _text, fixed4_strings
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
-from rootspiral.render import (
-    Scene,
-    default_layers,
-    export_report,
-    render_svg,
-    report_to_dict,
-)
+from rootspiral.render import Scene, _json, default_layers, export_report, render_svg
 from rootspiral.spiral import SpiralTable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,10 +189,10 @@ def test_square_reference_layer(table):
     assert 'id="square-reference"' not in without
 
 
-def test_export_report_json_round_trip(table):
+def test_export_report_json_round_trip(table, json_oracle):
     rep = discover(17, table=table)
     parsed = json.loads(export_report(rep, "json"))
-    assert parsed == json.loads(json.dumps(report_to_dict(rep)))
+    assert export_report(rep, "json") == json_oracle(rep)
     assert parsed["divisor"] == 17
     assert parsed["counts"] == {"positive": 1, "negative": 1}
     labels = [s["label"] for s in parsed["systems"]]
@@ -221,12 +218,64 @@ def test_export_report_text_rounds_angles_as_the_json_view(reports):
         systems=(first, *rep.systems[1:]),
         spacing_deg={k: 0.1349999996 for k in rep.spacing_deg},
     )
-    data = report_to_dict(rep)
+    data = json.loads(export_report(rep, "json"))
     assert data["systems"][0]["anchor_deg"] == 0.135
     lines = export_report(rep, "text").decode().split("\n")
     assert re.match(rf"{first.label}\s+\S+\s+0\.14\s", next(l for l in lines if l.startswith(first.label)))
     spacing = [l for l in lines if l.startswith("spacing")]
     assert len(spacing) == len(rep.spacing_deg) and all(l.endswith(": 0.14 deg") for l in spacing)
+
+
+#: Values of the report's JSON view, plus the edge cases json prints its own way.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["", "\u00e9\u2028\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f', "\ud800"]),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": [True, 1, False, 0, 1.0], "\u00e9": {"x": None}})
+@example([-0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf, 2**70, -(2**70)])
+@example({"point_pairs_negative": [["N1", "N2"]], "point_pairs_positive": []})
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=True)
+
+
+def test_json_writer_raises_on_what_it_cannot_write():
+    """A set, as json does; a non-string key, which json would convert, rather than differ."""
+    with pytest.raises(TypeError):
+        _json({"a": {1, 2}})
+    with pytest.raises(TypeError):
+        _json({1: "a"})
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"n_max": 300}, {"n_max": 1000}, {"n_max": 5000}, {"mirror": True}],
+    ids=["n_max=300", "n_max=1000", "n_max=5000", "mirror"],
+)
+def test_report_json_matches_oracle_off_the_defaults(table, json_oracle, override):
+    """Reports of other runs: mismatched and flagged rows, arms of fewer than 8 members."""
+    reports = [discover(d, table=table, config=Config(**override)) for d in claimed_divisors()]
+    for rep in reports:
+        assert export_report(rep, "json") == json_oracle(rep), rep.divisor
+    if override == {"n_max": 300}:
+        assert any(len(a.members) < 8 for rep in reports for s in rep.systems for a in s.arms)
 
 
 def test_export_report_unknown_format(table):
