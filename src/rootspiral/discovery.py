@@ -472,6 +472,20 @@ def axis_symmetry(
     )
 
 
+#: The square-number graphs (3x)^2, (3x+1)^2 and (3x+2)^2, second differential 18.
+SQUARE_POLYS = (
+    HalfIntQuadratic(18, 0, 0),
+    HalfIntQuadratic(18, 12, 2),
+    HalfIntQuadratic(18, 24, 8),
+)
+
+
+def square_members(n_max: int) -> list[list[int]]:
+    """The numbers 1..n_max on each graph of SQUARE_POLYS, one evaluation per x."""
+    xs = range(math.isqrt(n_max) + 1)
+    return [[n for n in map(q.eval, xs) if 1 <= n <= n_max] for q in SQUARE_POLYS]
+
+
 def square_number_arms(
     table: SpiralTable | None = None,
     reference_winding_index: int = 20,
@@ -483,17 +497,12 @@ def square_number_arms(
     winding approach 2 radians (about 114.59 degrees), an almost exact
     three-symmetry, because theta(n^2) ~ 2n + const.
     """
-    polys = (
-        HalfIntQuadratic(18, 0, 0),
-        HalfIntQuadratic(18, 12, 2),
-        HalfIntQuadratic(18, 24, 8),
-    )
     table = table or shared_table(Config().n_max)
     # members nearest the reference winding: three consecutive squares
-    reps = []
-    for q in polys:
-        numbers = [q.eval(x) for x in range(math.isqrt(table.n_max) + 1) if 1 <= q.eval(x) <= table.n_max]
-        reps.append(min(numbers, key=lambda n: abs(table.winding_of(n) - reference_winding_index)))
+    reps = [
+        min(numbers, key=lambda n: abs(table.winding_of(n) - reference_winding_index))
+        for numbers in square_members(table.n_max)
+    ]
     reps.sort()
     # close the triple with the next member of the innermost arm, so the
     # three separations are successive unwrapped angular steps
@@ -502,7 +511,7 @@ def square_number_arms(
     seps_deg = [
         math.degrees(table.angle(chain[i + 1]) - table.angle(chain[i])) for i in range(3)
     ]
-    return polys, seps_deg
+    return SQUARE_POLYS, seps_deg
 
 
 # ---------------------------------------------------------------------------

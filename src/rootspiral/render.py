@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Config
 from .csvformat import _fmt, fixed4_strings
-from .discovery import Arm, ArmSystem, DivisorReport, square_number_arms
+from .discovery import Arm, ArmSystem, DivisorReport, square_members
 from .errors import RangeExhausted
 from .spiral import SpiralTable, shared_table
 
@@ -123,12 +123,7 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
 
     if scene.show_square_reference:
         parts.append('<g id="square-reference">')
-        for q in square_number_arms(table)[0]:
-            numbers = [
-                q.eval(x)
-                for x in range(math.isqrt(scene.n_max) + 1)
-                if 1 <= q.eval(x) <= scene.n_max
-            ]
+        for numbers in square_members(scene.n_max):
             if len(numbers) >= 2:
                 parts.append(
                     polyline(numbers, SQUARE_REFERENCE_COLOR, scene.arm_stroke)
