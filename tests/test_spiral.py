@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -142,6 +145,68 @@ def test_theodorus_constant_cauchy(table_1e7):
 def test_theta_1e7_matches_pinned_digest(table_1e7):
     want = (GOLDEN / "theta_1e7.sha256").read_text().split()[0]
     assert hashlib.sha256(table_1e7.theta_array.tobytes()).hexdigest() == want
+
+
+def _avx512_targets() -> list[str]:
+    """numpy's dispatch targets at the AVX-512 level that this CPU has."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [
+        f for f in __cpu_dispatch__
+        if (f.startswith("AVX512") or f == "X86_V4") and __cpu_features__.get(f)
+    ]
+
+
+#: Run with numpy's AVX-512 targets switched off: write the 20 000-row CSV
+#: and the 10^7 arctan terms, and print the digest of theta(10^7).
+_OTHER_ARCTAN_PATH = """
+import hashlib, os, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from rootspiral.cli import run
+from rootspiral.spiral import SpiralTable, _angle_terms
+off = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+assert not any(__cpu_features__[f] for f in off), off
+csv_path, terms_path = sys.argv[1:]
+assert run(["spiral", "--n-max", "20000", "--out", csv_path]) == 0
+with open(terms_path, "wb") as out:
+    for lo in range(1, 10**7, 1 << 20):
+        _angle_terms(lo, min(lo + (1 << 20), 10**7)).tofile(out)
+print(hashlib.sha256(SpiralTable(10**7).theta_array.tobytes()).hexdigest())
+"""
+
+
+def test_digests_hold_on_the_other_arctan_path(tmp_path):
+    """theta(10^7) and the 20 000-row CSV keep their digests without numpy's AVX-512 arctan.
+
+    np.arctan's last bit depends on the SIMD path numpy dispatches to; the
+    digests hold only while no 1-ulp change of a term flips a rounding.
+    """
+    off = _avx512_targets()
+    if not off:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU: one arctan path only")
+    csv, terms = tmp_path / "spiral.csv", tmp_path / "terms.f8"
+    proc = subprocess.run(
+        [sys.executable, "-c", _OTHER_ARCTAN_PATH, str(csv), str(terms)],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    other, n, step = np.memmap(terms, dtype=np.float64, mode="r"), 10**7, 1 << 20
+    differ = sum(
+        int(np.count_nonzero(other[lo - 1:lo - 1 + step] != _angle_terms(lo, min(lo + step, n))))
+        for lo in range(1, n, step)
+    )
+    note = f"{differ} of {n - 1} arctan terms differ with {' '.join(off)} switched off"
+    print(note)
+    theta = (GOLDEN / "theta_1e7.sha256").read_text().split()[0]
+    rows = (GOLDEN / "spiral_20000.csv.sha256").read_text().split()[0]
+    assert proc.stdout.split()[-1] == theta, note
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == rows, note
 
 
 def test_angle_against_extended_precision_oracle():
