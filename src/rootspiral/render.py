@@ -188,8 +188,8 @@ def _json(value: object, pad: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-#: Indents of the keys of a system dict, of an arm dict and of its keys in the JSON report.
-_SYSTEM_KEY_PAD, _ARM_PAD, _ARM_KEY_PAD = " " * 6, " " * 8, " " * 10
+#: Indents of an arm dict and of its keys in the JSON report.
+_ARM_PAD, _ARM_KEY_PAD = " " * 8, " " * 10
 
 
 def _arm_json(arm: Arm) -> str:
@@ -205,7 +205,7 @@ def _arm_json(arm: Arm) -> str:
 
 def _system_json(system: ArmSystem) -> str:
     """One system dict of the JSON report; "arms" sorts between its other keys."""
-    pad = _SYSTEM_KEY_PAD
+    pad = " " * 6
     return (
         f'{{\n{pad}"anchor_deg": {_json(round(math.degrees(system.anchor_angle), 6))},\n'
         f'{pad}"arms": {_block(list(map(_arm_json, system.arms)), pad)},\n'
@@ -216,7 +216,7 @@ def _system_json(system: ArmSystem) -> str:
 
 def _report_json(report: DivisorReport) -> str:
     """The text of json.dumps(view, indent=2, sort_keys=True) of the report's JSON view."""
-    head = _json({
+    view = {
         "claims": [
             {"claim": c.claim, "detail": c.detail, "source": c.source, "status": c.status}
             for c in report.paper_match
@@ -226,10 +226,11 @@ def _report_json(report: DivisorReport) -> str:
         "parameters": report.parameters,
         "spacing_deg": {k: round(v, 6) for k, v in report.spacing_deg.items()},
         "symmetry": report.symmetry,
-    })
-    # "systems" sorts last: write it in place of the closing brace
-    systems = _block(list(map(_system_json, report.systems)), "  ")
-    return f'{head[:-2]},\n  "systems": {systems}\n}}'
+    }
+    items = [f'"{key}": {_json(value, "  ")}' for key, value in sorted(view.items())]
+    # "systems" sorts after the other keys
+    items.append(f'"systems": {_block(list(map(_system_json, report.systems)), "  ")}')
+    return _block(items, "", "{}")
 
 
 def export_report(report: DivisorReport, format: str = "json") -> bytes:
