@@ -9,6 +9,7 @@ a column-aligned ASCII table.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -133,7 +134,7 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
     for system, color in scene.arm_layers:
         parts.append(f'<g id="system-{system.label}">')
         for arm in system.arms:
-            numbers = [n for n in arm.members if n <= scene.n_max]
+            numbers = arm.members[:bisect_right(arm.members, scene.n_max)]  # members never descend
             if len(numbers) >= 2:
                 parts.append(polyline(numbers, color, scene.arm_stroke))
         anchor = system.arms[0].members[0] if system.arms else None

@@ -261,8 +261,14 @@ class TestFamilyEnumeration:
             Config(angular_tol_rad=0.25),
             Config(centre_cap=40, run_start_max=5),
             Config(min_chain_len=30),  # the settled-tail gate binds here
+            Config(run_start_max=0),  # the pre-gate tests the grid's first step
+            Config(run_start_max=40),  # step 40 has settled or lies past n_max: none pre-rejected
+            Config(n_max=300),  # x = run_start_max + 1 lies past most families' grid width
         ],
-        ids=["default", "n_max=10000", "n_max=60000", "tol=0.25", "cap=40,start=5", "len=30"],
+        ids=[
+            "default", "n_max=10000", "n_max=60000", "tol=0.25", "cap=40,start=5", "len=30",
+            "start=0", "start=40", "n_max=300",
+        ],
     )
     def test_matches_scalar_oracle(self, table, cfg):
         # The shared `table` fixture runs past n_max = 20000 and 10000; a table of
@@ -470,6 +476,10 @@ class TestVerify:
             for s in rep.systems:
                 assert s.label[0] == ("P" if s.rotation is Rotation.POSITIVE else "N")
                 assert all(n % d == 0 for arm in s.arms for n in arm.members), (d, s.label)
+                # render_svg cuts members with bisect. Only f(0) = f(1) may tie (B = -A).
+                for arm in s.arms:
+                    m = arm.members
+                    assert m[0] <= m[1] and all(p < q for p, q in zip(m[1:], m[2:])), str(arm.poly)
             if d in claims:
                 assert rep.all_matched, d
             else:
