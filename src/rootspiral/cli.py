@@ -20,7 +20,7 @@ from .config import Config
 from .discovery import DivisorReport, discover, verify_paper_table
 from .errors import RootSpiralError
 from .render import Scene, default_layers, export_report, render_svg
-from .spiral import shared_table
+from .spiral import SpiralTable, shared_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -125,22 +125,22 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _figure(report: DivisorReport, cfg: Config, n_max: int) -> bytes:
+def _figure(report: DivisorReport, cfg: Config, table: SpiralTable) -> bytes:
     scene = Scene(
-        n_max=n_max,
+        n_max=min(FIGURE_N_MAX, cfg.n_max),
         highlight_divisor=report.divisor,
         arm_layers=default_layers(report),
-        show_square_reference=True,
         mirror=cfg.mirror,
     )
-    return render_svg(scene)
+    return render_svg(scene, table)
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report = discover(args.divisor, config=cfg)
+    table = shared_table(cfg.n_max)
+    report = discover(args.divisor, table=table, config=cfg)
     path = _out_path(cfg, args.out, f"figure_d{args.divisor}.svg")
-    _atomic_write(path, _figure(report, cfg, min(FIGURE_N_MAX, cfg.n_max)))
+    _atomic_write(path, _figure(report, cfg, table))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -155,10 +155,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         report = discover(d, table=table, config=cfg)
         _atomic_write(out_dir / f"report_d{d}.json", export_report(report, "json"))
         _atomic_write(out_dir / f"report_d{d}.txt", export_report(report, "text"))
-        _atomic_write(
-            out_dir / f"figure_d{d}.svg",
-            _figure(report, cfg, min(FIGURE_N_MAX, cfg.n_max)),
-        )
+        _atomic_write(out_dir / f"figure_d{d}.svg", _figure(report, cfg, table))
         if not report.all_matched:
             status = EXIT_MISMATCH
         print(f"divisor {d}: {'ok' if report.all_matched else 'MISMATCH'}")

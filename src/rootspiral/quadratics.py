@@ -28,9 +28,6 @@ class Rotation(enum.Enum):
     NEGATIVE = "negative"
     INDETERMINATE = "indeterminate"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 def _half_str(v: int, suffix: str = "") -> str:
     half = v / 2
@@ -69,9 +66,6 @@ class HalfIntQuadratic:
     def eval(self, x: int) -> int:
         num = self.A * x * x + self.B * x + self.C
         return num // 2
-
-    def __call__(self, x: int) -> int:
-        return self.eval(x)
 
     @property
     def second_differential(self) -> int:

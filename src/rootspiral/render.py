@@ -1,13 +1,14 @@
 """Deterministic figure and report generation.
 
-SVG output is a pure function of the Scene: fixed 4-decimal coordinate
-formatting, no timestamps, no randomness, so figures can be golden-tested
-byte for byte. Reports serialize a DivisorReport as sorted-key JSON or as
-a column-aligned ASCII table.
+SVG output is a pure function of the Scene and the module's fixed figure
+constants: 4-decimal coordinate formatting, no timestamps, no randomness,
+so figures can be golden-tested byte for byte. Reports serialize a
+DivisorReport as sorted-key JSON or as a column-aligned ASCII table.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -15,11 +16,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .config import Config
 from .csvformat import _fmt, fixed4_strings
 from .discovery import Arm, ArmSystem, DivisorReport, square_members
 from .errors import RangeExhausted
-from .spiral import SpiralTable, shared_table
+from .spiral import SpiralTable
 
 #: Fixed palette (explicit RGB): yellow highlights, green reference arms,
 #: grey spiral, and a cycle of saturated arm colors.
@@ -39,29 +39,32 @@ ARM_PALETTE = (
     "#364fc7",  # navy
 )
 
+#: Every figure is a square canvas of CANVAS units; ray n_max ends MARGIN inside its edge.
+CANVAS = 800.0
+MARGIN = 20.0
+#: Spiral and arm stroke widths, highlight radius and label size, as printed.
+SPIRAL_STROKE, ARM_STROKE, POINT_RADIUS, LABEL_SIZE = map(_fmt, (0.75, 2.0, 2.0, 11.0))
+_SVG_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    f'width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" '
+    f'viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">\n'
+    f'<rect width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" fill="#ffffff"/>'
+)
+
 
 @dataclass(frozen=True)
 class Scene:
-    """Complete description of one figure; fully determines output bytes."""
+    """What one figure shows; with the constants above it fixes the output bytes."""
 
     n_max: int
     highlight_divisor: int | None = None
     arm_layers: tuple[tuple[ArmSystem, str], ...] = ()
-    show_square_reference: bool = False
     mirror: bool = False
-    width: float = 800.0
-    height: float = 800.0
-    margin: float = 20.0
-    spiral_stroke: float = 0.75
-    arm_stroke: float = 2.0
-    point_radius: float = 2.0
-    label_size: float = 11.0
 
     def __post_init__(self) -> None:
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("canvas dimensions must be positive")
 
 
 def default_layers(report: DivisorReport) -> tuple[tuple[ArmSystem, str], ...]:
@@ -72,43 +75,32 @@ def default_layers(report: DivisorReport) -> tuple[tuple[ArmSystem, str], ...]:
     )
 
 
-def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
+def render_svg(scene: Scene, table: SpiralTable) -> bytes:
     """Render a Scene as a standalone SVG 1.1 document (bytes)."""
-    table = table or shared_table(max(scene.n_max, Config().n_max))
     if scene.n_max > table.n_max:
         raise RangeExhausted(
             f"scene needs n_max={scene.n_max}, table holds {table.n_max}"
         )
 
-    scale = (min(scene.width, scene.height) / 2.0 - scene.margin) / math.sqrt(
-        scene.n_max
-    )
-    cx, cy = scene.width / 2.0, scene.height / 2.0
+    scale = (CANVAS / 2.0 - MARGIN) / math.sqrt(scene.n_max)
+    centre = CANVAS / 2.0
     y_sign = 1.0 if scene.mirror else -1.0
 
     # Every point of the figure is a ray n <= n_max: format each ray once.
     # px[n], py[n] and point[n] are the coordinates of ray n (index 0 unused).
     _, x, y = table.vertices(1, scene.n_max + 1)
-    coords = fixed4_strings(np.concatenate([cx + scale * x, cy + y_sign * scale * y]))
+    coords = fixed4_strings(np.concatenate([centre + scale * x, centre + y_sign * scale * y]))
     px, py = ["", *coords[:scene.n_max]], ["", *coords[scene.n_max:]]
     point = list(map(",".join, zip(px, py)))
 
-    def polyline(numbers, color: str, width: float) -> str:
+    def polyline(numbers, color: str, width: str) -> str:
         pts = " ".join([point[n] for n in numbers])
-        return (
-            f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}" points="{pts}"/>'
-        )
+        return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>'
 
     parts: list[str] = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(scene.width)}" height="{_fmt(scene.height)}" '
-        f'viewBox="0 0 {_fmt(scene.width)} {_fmt(scene.height)}">',
-        f'<rect width="{_fmt(scene.width)}" height="{_fmt(scene.height)}" '
-        f'fill="#ffffff"/>',
+        _SVG_HEAD,
         '<g id="spiral">',
-        polyline(range(1, scene.n_max + 1), SPIRAL_COLOR, scene.spiral_stroke),
+        polyline(range(1, scene.n_max + 1), SPIRAL_COLOR, SPIRAL_STROKE),
         "</g>",
     ]
 
@@ -118,30 +110,27 @@ def render_svg(scene: Scene, table: SpiralTable | None = None) -> bytes:
         for n in range(d, scene.n_max + 1, d):
             parts.append(
                 f'<circle cx="{px[n]}" cy="{py[n]}" '
-                f'r="{_fmt(scene.point_radius)}" fill="{HIGHLIGHT_COLOR}"/>'
+                f'r="{POINT_RADIUS}" fill="{HIGHLIGHT_COLOR}"/>'
             )
         parts.append("</g>")
 
-    if scene.show_square_reference:
-        parts.append('<g id="square-reference">')
-        for numbers in square_members(scene.n_max):
-            if len(numbers) >= 2:
-                parts.append(
-                    polyline(numbers, SQUARE_REFERENCE_COLOR, scene.arm_stroke)
-                )
-        parts.append("</g>")
+    parts.append('<g id="square-reference">')
+    for numbers in square_members(scene.n_max):
+        if len(numbers) >= 2:
+            parts.append(polyline(numbers, SQUARE_REFERENCE_COLOR, ARM_STROKE))
+    parts.append("</g>")
 
     for system, color in scene.arm_layers:
         parts.append(f'<g id="system-{system.label}">')
         for arm in system.arms:
             numbers = arm.members[:bisect_right(arm.members, scene.n_max)]  # members never descend
             if len(numbers) >= 2:
-                parts.append(polyline(numbers, color, scene.arm_stroke))
+                parts.append(polyline(numbers, color, ARM_STROKE))
         anchor = system.arms[0].members[0] if system.arms else None
         if anchor is not None and anchor <= scene.n_max:
             parts.append(
                 f'<text x="{px[anchor]}" y="{py[anchor]}" '
-                f'font-family="monospace" font-size="{_fmt(scene.label_size)}" '
+                f'font-family="monospace" font-size="{LABEL_SIZE}" '
                 f'fill="{color}">{system.label}</text>'
             )
         parts.append("</g>")
@@ -156,37 +145,6 @@ def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
         return brackets
     inner = pad + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
-
-
-def _json(value: object, pad: str = "") -> str:
-    """`value` as json.dumps(indent=2, sort_keys=True) prints it, nested at `pad`.
-
-    The checks follow json's own order (bool before int), and dict keys
-    must be strings.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        return _block([_json(v, inner) for v in value], pad)
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
-        return _block(items, pad, "{}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 #: Indents of an arm dict and of its keys in the JSON report.
@@ -208,10 +166,10 @@ def _system_json(system: ArmSystem) -> str:
     """One system dict of the JSON report; "arms" sorts between its other keys."""
     pad = " " * 6
     return (
-        f'{{\n{pad}"anchor_deg": {_json(round(math.degrees(system.anchor_angle), 6))},\n'
+        f'{{\n{pad}"anchor_deg": {json.dumps(round(math.degrees(system.anchor_angle), 6))},\n'
         f'{pad}"arms": {_block(list(map(_arm_json, system.arms)), pad)},\n'
-        f'{pad}"label": {_json(system.label)},\n'
-        f'{pad}"rotation": {_json(system.rotation.value)}\n    }}'
+        f'{pad}"label": {json.dumps(system.label)},\n'
+        f'{pad}"rotation": {json.dumps(system.rotation.value)}\n    }}'
     )
 
 
@@ -228,10 +186,12 @@ def _report_json(report: DivisorReport) -> str:
         "spacing_deg": {k: round(v, 6) for k, v in report.spacing_deg.items()},
         "symmetry": report.symmetry,
     }
-    items = [f'"{key}": {_json(value, "  ")}' for key, value in sorted(view.items())]
-    # "systems" sorts after the other keys
-    items.append(f'"systems": {_block(list(map(_system_json, report.systems)), "  ")}')
-    return _block(items, "", "{}")
+    # One dumps per report: with an indent, each call leaves a cycle of encoder
+    # closures for the garbage collector. "systems" sorts after the other keys,
+    # so it takes the place of the closing "\n}".
+    text = json.dumps(view, indent=2, sort_keys=True)
+    systems = _block(list(map(_system_json, report.systems)), "  ")
+    return text[:-2] + ',\n  "systems": ' + systems + "\n}"
 
 
 def export_report(report: DivisorReport, format: str = "json") -> bytes:

@@ -181,6 +181,16 @@ def test_render_writes_svg(tmp_path):
     assert b"<svg" in body
 
 
+def test_figures_use_the_table_of_the_run(tmp_path, monkeypatch):
+    """`--n-max 5000` builds a 5000-entry table; drawing the figure does not grow it."""
+    monkeypatch.setattr(spiral, "_shared", None)
+    assert run(["report", "--divisor", "13", "--n-max", "5000", "--out", str(tmp_path)]) == EXIT_MISMATCH
+    assert spiral._shared.n_max == 5000
+    out = tmp_path / "fig.svg"
+    assert run(["render", "--divisor", "13", "--n-max", "5000", "--out", str(out)]) == EXIT_OK
+    assert spiral._shared.n_max == 5000
+
+
 def test_report_single_divisor(tmp_path):
     assert run(["report", "--divisor", "17", "--out", str(tmp_path)]) == EXIT_OK
     for name in ("report_d17.json", "report_d17.txt", "figure_d17.svg"):

@@ -12,15 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from rootspiral.claims import claimed_divisors
 from rootspiral.config import Config
 from rootspiral.csvformat import _fixed4_cells, _fmt, _text, fixed4_strings
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
-from rootspiral.render import Scene, _json, default_layers, export_report, render_svg
+from rootspiral.render import CANVAS, MARGIN, Scene, default_layers, export_report, render_svg
 from rootspiral.spiral import SpiralTable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,8 +34,6 @@ def test_minimal_scene_single_segment(table):
 def test_scene_validation():
     with pytest.raises(ValueError):
         Scene(n_max=1)
-    with pytest.raises(ValueError):
-        Scene(n_max=10, width=0)
 
 
 def test_scene_exceeding_table_raises():
@@ -52,7 +48,6 @@ def test_determinism_byte_identical(table):
         n_max=2000,
         highlight_divisor=17,
         arm_layers=default_layers(rep),
-        show_square_reference=True,
     )
     assert render_svg(scene, table) == render_svg(scene, table)
 
@@ -72,40 +67,15 @@ def test_mirror_flips_y(table):
 
 
 def test_plotted_vertices_match_spiral(table):
-    scene = Scene(n_max=300)
-    svg = render_svg(scene, table).decode()
+    svg = render_svg(Scene(n_max=300), table).decode()
     pts = re.search(r'points="([^"]*)"', svg).group(1).split()
     assert len(pts) == 300
-    scale = (min(scene.width, scene.height) / 2 - scene.margin) / math.sqrt(300)
+    scale = (CANVAS / 2 - MARGIN) / math.sqrt(300)
     for n, p in enumerate(pts, start=1):
         px, py = map(float, p.split(","))
         x, y = table.vertex(n)
-        assert px == pytest.approx(scene.width / 2 + scale * x, abs=1e-4)
-        assert py == pytest.approx(scene.height / 2 - scale * y, abs=1e-4)
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [{"width": 1e12, "height": 1e12}, {"margin": -1e12}, {"margin": -1e12, "mirror": True}],
-)
-def test_coordinates_past_the_fast_formatter_range(table, overrides):
-    """Coordinates of 12 and 13 integer digits: some printed in numpy, some by _fmt."""
-    scene = Scene(n_max=500, highlight_divisor=7, **overrides)
-    svg = render_svg(scene, table).decode()
-    scale = (min(scene.width, scene.height) / 2 - scene.margin) / math.sqrt(scene.n_max)
-    cx, cy = scene.width / 2, scene.height / 2
-    y_sign = 1.0 if scene.mirror else -1.0
-
-    def expected(n):
-        x, y = table.vertex(n)
-        return _fmt(cx + scale * x), _fmt(cy + y_sign * scale * y)
-
-    pts = re.search(r'points="([^"]*)"', svg).group(1).split()
-    assert pts == [",".join(expected(n)) for n in range(1, scene.n_max + 1)]
-    circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
-    assert circles == [expected(n) for n in range(7, scene.n_max + 1, 7)]
-    wide = [abs(float(c)) >= 2**52 / 10**4 for p in pts for c in p.split(",")]
-    assert any(wide) and not all(wide)
+        assert px == pytest.approx(CANVAS / 2 + scale * x, abs=1e-4)
+        assert py == pytest.approx(CANVAS / 2 - scale * y, abs=1e-4)
 
 
 def _fixed4_wrong(values):
@@ -183,10 +153,8 @@ def test_highlight_multiples(table):
 
 
 def test_square_reference_layer(table):
-    with_ref = render_svg(Scene(n_max=500, show_square_reference=True), table).decode()
-    without = render_svg(Scene(n_max=500), table).decode()
-    assert 'id="square-reference"' in with_ref
-    assert 'id="square-reference"' not in without
+    svg = render_svg(Scene(n_max=500), table).decode()
+    assert 'id="square-reference"' in svg
 
 
 def test_export_report_json_round_trip(table, json_oracle):
@@ -226,44 +194,6 @@ def test_export_report_text_rounds_angles_as_the_json_view(reports):
     assert len(spacing) == len(rep.spacing_deg) and all(l.endswith(": 0.14 deg") for l in spacing)
 
 
-#: Values of the report's JSON view, plus the edge cases json prints its own way.
-_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.sampled_from([-0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
-    st.text(),
-    st.sampled_from(["", "\u00e9\u2028\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f', "\ud800"]),
-)
-_JSON_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    ),
-    max_leaves=24,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-@example({"a": [], "b": {}, "c": [True, 1, False, 0, 1.0], "\u00e9": {"x": None}})
-@example([-0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf, 2**70, -(2**70)])
-@example({"point_pairs_negative": [["N1", "N2"]], "point_pairs_positive": []})
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=True)
-
-
-def test_json_writer_raises_on_what_it_cannot_write():
-    """A set, as json does; a non-string key, which json would convert, rather than differ."""
-    with pytest.raises(TypeError):
-        _json({"a": {1, 2}})
-    with pytest.raises(TypeError):
-        _json({1: "a"})
-
-
 @pytest.mark.parametrize(
     "override",
     [{"n_max": 300}, {"n_max": 1000}, {"n_max": 5000}, {"mirror": True}],
@@ -297,24 +227,22 @@ class TestGolden:
         assert export_report(reports[d], "text") == golden
 
     def test_figure_d17(self, table):
-        from rootspiral.cli import FIGURE_N_MAX, _figure
-        from rootspiral.config import Config
+        from rootspiral.cli import _figure
 
         rep = discover(17, table=table)
         golden = (GOLDEN / "figure_d17.svg").read_bytes()
-        assert _figure(rep, Config(), FIGURE_N_MAX) == golden
+        assert _figure(rep, Config(), table) == golden
 
     @pytest.mark.parametrize(
         "d, mirror", [(2, False), (3, False), (5, False), (11, False), (13, False), (13, True)]
     )
-    def test_figure_digest(self, reports, d, mirror):
+    def test_figure_digest(self, table, reports, d, mirror):
         """The other figures of `report --all`, and `render --divisor 13 --mirror`."""
-        from rootspiral.cli import FIGURE_N_MAX, _figure
-        from rootspiral.config import Config
+        from rootspiral.cli import _figure
 
         digests = dict(
             line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines()
         )
         name = f"figure_d{d}{'_mirror' if mirror else ''}.svg"
-        svg = _figure(reports[d], Config(mirror=mirror), FIGURE_N_MAX)
+        svg = _figure(reports[d], Config(mirror=mirror), table)
         assert hashlib.sha256(svg).hexdigest() == digests[name]

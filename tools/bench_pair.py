@@ -7,10 +7,13 @@ Run from the root of a checkout:
 The run length and the workloads come from `BENCHMARK.json`, and every
 comparison runs `PAIRS` pairs, so both sides run as the benchmark sets
 them. The base commit is exported with `git archive` into a temporary
-directory, and each side runs its own, unchanged `bench/run.py` from its
-own root, so both sides measure with the benchmark code of their
-checkout. Pair i runs every workload on both sides, the base first when i
-is even and the working tree first when it is odd. A side whose
+directory, and the working tree (its tracked files and its untracked,
+non-ignored files, as they are on disk) is copied beside it, so both
+sides run from a fresh directory of the same kind. Each side runs its
+own, unchanged `bench/run.py` from its own root, so both sides measure
+with the benchmark code of their checkout. Pair i runs every workload on
+both sides, the base first when i is even and the working tree first
+when it is odd. A side whose
 `bench/run.py` exits non-zero is recorded with its exit code and stderr,
 and the pairs go on.
 
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,6 +47,17 @@ def export_commit(root: Path, rev: str, dest: Path) -> str:
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy the tracked and the untracked, non-ignored files of `root`, as they are on disk."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=root, check=True, capture_output=True).stdout.split(b"\0")
+    for name in dict.fromkeys(filter(None, names)):
+        src, target = root / os.fsdecode(name), dest / os.fsdecode(name)
+        if src.is_file():  # a tracked file deleted from the working tree is left out
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -105,7 +121,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         base_root = Path(tmp) / "base"
         base_sha = export_commit(root, args.base, base_root)
-        checkouts = {"base": base_root, "change": root}
+        change_root = Path(tmp) / "change"
+        copy_working_tree(root, change_root)
+        checkouts = {"base": base_root, "change": change_root}
         for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in workloads:
@@ -115,7 +133,7 @@ def main(argv=None) -> int:
                     print(json.dumps(runs[-1]), flush=True)
     report = {
         "base": base_sha,
-        "change": f"working tree at {head}",
+        "change": f"working tree at {head}, copied to a fresh directory",
         "seed": args.seed,
         "seconds": seconds,
         "pairs": PAIRS,
