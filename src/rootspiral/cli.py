@@ -17,17 +17,14 @@ from typing import IO, Iterator, Sequence
 
 from .claims import claimed_divisors, claims_for
 from .config import Config
-from .discovery import DivisorReport, discover, verify_paper_table
+from .discovery import discover, verify_paper_table
 from .errors import RootSpiralError
-from .render import Scene, default_layers, export_report, render_svg
+from .render import export_report, render_svg
 from .spiral import SpiralTable, shared_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-#: Figure extent: large enough to show every system's inner windings.
-FIGURE_N_MAX = 2000
 
 
 @contextmanager
@@ -75,9 +72,7 @@ def _out_path(cfg: Config, out: str | None, default_name: str) -> Path:
     return cfg.resolved_output_dir() / default_name
 
 
-def _cmd_spiral(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    table = shared_table(cfg.n_max)
+def _cmd_spiral(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     path = _out_path(cfg, args.out, f"spiral_{cfg.n_max}.csv")
     with _atomic_open(path, "w", encoding="utf-8", newline="") as handle:
         table.write_csv(handle, cfg.n_max)
@@ -85,11 +80,10 @@ def _cmd_spiral(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_verify(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     if args.divisor is not None:
         claims_for(args.divisor)  # raises UnknownDivisor for unpublished divisors
-    reports = verify_paper_table(args.divisor, config=cfg)
+    reports = verify_paper_table(args.divisor, table=table, config=cfg)
     lines: list[str] = []
     flagged: list[str] = []
     mismatched = 0
@@ -116,46 +110,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.all_matched for r in reports) else EXIT_MISMATCH
 
 
-def _cmd_discover(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    report = discover(args.divisor, config=cfg)
+def _cmd_discover(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
+    report = discover(args.divisor, table=table, config=cfg)
     path = _out_path(cfg, args.out, f"report_d{args.divisor}.json")
     _atomic_write(path, export_report(report, "json"))
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _figure(report: DivisorReport, cfg: Config, table: SpiralTable) -> bytes:
-    scene = Scene(
-        n_max=min(FIGURE_N_MAX, cfg.n_max),
-        highlight_divisor=report.divisor,
-        arm_layers=default_layers(report),
-        mirror=cfg.mirror,
-    )
-    return render_svg(scene, table)
-
-
-def _cmd_render(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    table = shared_table(cfg.n_max)
+def _cmd_render(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     report = discover(args.divisor, table=table, config=cfg)
     path = _out_path(cfg, args.out, f"figure_d{args.divisor}.svg")
-    _atomic_write(path, _figure(report, cfg, table))
+    _atomic_write(path, render_svg(report, table, cfg.n_max, cfg.mirror))
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_report(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     out_dir = Path(args.out) if args.out else cfg.resolved_output_dir()
-    table = shared_table(cfg.n_max)
     divisors = claimed_divisors() if args.all else [args.divisor]
     status = EXIT_OK
     for d in divisors:
         report = discover(d, table=table, config=cfg)
         _atomic_write(out_dir / f"report_d{d}.json", export_report(report, "json"))
         _atomic_write(out_dir / f"report_d{d}.txt", export_report(report, "text"))
-        _atomic_write(out_dir / f"figure_d{d}.svg", _figure(report, cfg, table))
+        _atomic_write(out_dir / f"figure_d{d}.svg", render_svg(report, table, cfg.n_max, cfg.mirror))
         if not report.all_matched:
             status = EXIT_MISMATCH
         print(f"divisor {d}: {'ok' if report.all_matched else 'MISMATCH'}")
@@ -218,7 +197,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print("error: report needs --all or --divisor", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        return args.func(args, cfg, shared_table(cfg.n_max))
     except (ValueError, OSError, RootSpiralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -178,7 +178,7 @@ def canonical_shift(q: HalfIntQuadratic) -> HalfIntQuadratic:
         q = q.shifted(-1) if 2 <= fm1 <= q.C else q.shifted(1)
 
 
-def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict[Rotation, int]:
+def families_for(d: int) -> dict[Rotation, int]:
     """Family constant A per rotation direction for divisor d.
 
     For divisors with published data the constants come from the embedded
@@ -191,7 +191,7 @@ def families_for(d: int, claims: dict[int, DivisorClaims] | None = None) -> dict
     """
     if d < 2:
         raise ValueError(f"divisor must be >= 2, got {d}")
-    claims = all_claims() if claims is None else claims
+    claims = all_claims()
     if d in claims:
         out: dict[Rotation, int] = {}
         for cp in claims[d].polynomials:
@@ -214,8 +214,8 @@ def enumerate_family_arms(
     A: int,
     d: int,
     *,
-    table: SpiralTable | None = None,
-    config: Config | None = None,
+    table: SpiralTable,
+    config: Config,
 ) -> list[tuple[HalfIntQuadratic, list[int]]]:
     """All canonical near-centre arms of the family (A, d), with members.
 
@@ -250,17 +250,15 @@ def enumerate_family_arms(
     if residue is None:
         return []
     br, _ = residue
-    cfg = config or Config()
-    table = table or shared_table(cfg.n_max)
-    table.ensure(cfg.n_max)
+    table.ensure(config.n_max)
     theta = table.theta_array
     target = asymptotic_drift(A)
-    width = math.isqrt(2 * cfg.n_max // A) + 3
+    width = math.isqrt(2 * config.n_max // A) + 3
     B, C = np.meshgrid(
         np.concatenate(
-            (np.arange(br, cfg.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
+            (np.arange(br, config.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
         ),
-        np.arange(2 * d, 2 * cfg.centre_cap + 1, 2 * d),  # C = 0 (mod 2d) and C >= 2
+        np.arange(2 * d, 2 * config.centre_cap + 1, 2 * d),  # C = 0 (mod 2d) and C >= 2
     )
     fm1 = A - B + C  # doubled f(-1)
     canonical = (fm1 <= 0) | (fm1 > C)  # otherwise the arm starts further in
@@ -268,11 +266,11 @@ def enumerate_family_arms(
 
     # Clamped into the grid: below step 0 the grid keeps no row, and past
     # step width - 2 the step never lies inside an arm, so neither rejects.
-    s = np.array([0, 1]) + min(max(cfg.run_start_max, 0), width - 2)
+    s = np.array([0, 1]) + min(max(config.run_start_max, 0), width - 2)
     v = (A * s * s + B[:, None] * s + C[:, None]) // 2
-    th = theta[np.minimum(v, cfg.n_max)]
-    fails = ~(np.abs(th[:, 1] - th[:, 0] - TWO_PI - target) <= cfg.angular_tol_rad)
-    survive = ~(fails & (v[:, 1] <= cfg.n_max))
+    th = theta[np.minimum(v, config.n_max)]
+    fails = ~(np.abs(th[:, 1] - th[:, 0] - TWO_PI - target) <= config.angular_tol_rad)
+    survive = ~(fails & (v[:, 1] <= config.n_max))
     B, C = B[survive], C[survive]
     order = np.lexsort((C, B, B % (2 * A)))
     B, C = B[order], C[order]
@@ -284,16 +282,16 @@ def enumerate_family_arms(
     for lo in range(0, len(B), rows):
         b, c = B[lo:lo + rows], C[lo:lo + rows]
         values = (A * x * x + b[:, None] * x + c[:, None]) // 2
-        count = (values > cfg.n_max).argmax(axis=1)  # members before the first past n_max
-        th = theta[np.minimum(values, cfg.n_max)]
+        count = (values > config.n_max).argmax(axis=1)  # members before the first past n_max
+        th = theta[np.minimum(values, config.n_max)]
         drift = th[:, 1:] - th[:, :-1] - TWO_PI
-        fails = ~(np.abs(drift - target) <= cfg.angular_tol_rad) & (step < count[:, None] - 1)
+        fails = ~(np.abs(drift - target) <= config.angular_tol_rad) & (step < count[:, None] - 1)
         # A run whose last step fails starts at count - 1; the tail gate drops it.
         start = np.where(fails.any(axis=1), width - 1 - fails[:, ::-1].argmax(axis=1), 0)
         keep = (
-            (count >= cfg.min_chain_len)
-            & (start <= cfg.run_start_max)
-            & (count - start >= cfg.min_chain_len)
+            (count >= config.min_chain_len)
+            & (start <= config.run_start_max)
+            & (count - start >= config.min_chain_len)
         )
         kept = zip(b[keep].tolist(), c[keep].tolist(), count[keep].tolist(), values[keep].tolist())
         found.extend((HalfIntQuadratic(A, bi, ci), row[:k]) for bi, ci, k, row in kept)
@@ -303,7 +301,7 @@ def enumerate_family_arms(
 def discover_arms(
     d: int,
     *,
-    table: SpiralTable | None = None,
+    table: SpiralTable,
     config: Config | None = None,
 ) -> list[Arm]:
     """All validated arms for divisor d across its family constants.
@@ -314,7 +312,6 @@ def discover_arms(
     direction.
     """
     cfg = config or Config()
-    table = table or shared_table(cfg.n_max)
     fams = families_for(d)
     directions: dict[int, Rotation] = {}  # family constant -> its first direction
     for direction in (Rotation.POSITIVE, Rotation.NEGATIVE):
@@ -508,7 +505,7 @@ def square_members(n_max: int) -> list[list[int]]:
 
 
 def square_number_arms(
-    table: SpiralTable | None = None,
+    table: SpiralTable,
     reference_winding_index: int = 20,
 ) -> tuple[tuple[HalfIntQuadratic, ...], list[float]]:
     """The three square-number reference graphs and their separations.
@@ -518,7 +515,6 @@ def square_number_arms(
     winding approach 2 radians (about 114.59 degrees), an almost exact
     three-symmetry, because theta(n^2) ~ 2n + const.
     """
-    table = table or shared_table(Config().n_max)
     # members nearest the reference winding: three consecutive squares
     reps = [
         min(numbers, key=lambda n: abs(table.winding_of(n) - reference_winding_index))

@@ -30,9 +30,9 @@ class Rotation(enum.Enum):
 
 
 def _half_str(v: int, suffix: str = "") -> str:
-    half = v / 2
-    coeff = str(v // 2) if v % 2 == 0 else f"{half:g}"
-    return coeff + suffix
+    """v / 2 printed exactly: a whole number, or one with the decimal .5."""
+    whole, odd = divmod(abs(v), 2)
+    return ("-" if v < 0 else "") + str(whole) + (".5" if odd else "") + suffix
 
 
 @dataclass(frozen=True, order=True)

@@ -1,9 +1,10 @@
 """Deterministic figure and report generation.
 
-SVG output is a pure function of the Scene and the module's fixed figure
-constants: 4-decimal coordinate formatting, no timestamps, no randomness,
-so figures can be golden-tested byte for byte. Reports serialize a
-DivisorReport as sorted-key JSON or as a column-aligned ASCII table.
+A figure is a pure function of its report, n_max and mirror flag and the
+module's fixed figure constants: 4-decimal coordinate formatting, no
+timestamps, no randomness, so figures can be golden-tested byte for byte.
+Reports serialize a DivisorReport as sorted-key JSON or as a column-aligned
+ASCII table.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -39,7 +39,9 @@ ARM_PALETTE = (
     "#364fc7",  # navy
 )
 
-#: Every figure is a square canvas of CANVAS units; ray n_max ends MARGIN inside its edge.
+#: Figure extent: large enough to show every system's inner windings.
+FIGURE_N_MAX = 2000
+#: Every figure is a square canvas of CANVAS units; its last ray ends MARGIN inside its edge.
 CANVAS = 800.0
 MARGIN = 20.0
 #: Spiral and arm stroke widths, highlight radius and label size, as printed.
@@ -53,44 +55,28 @@ _SVG_HEAD = (
 )
 
 
-@dataclass(frozen=True)
-class Scene:
-    """What one figure shows; with the constants above it fixes the output bytes."""
+def render_svg(report: DivisorReport, table: SpiralTable, n_max: int, mirror: bool = False) -> bytes:
+    """The report's figure as a standalone SVG 1.1 document (bytes).
 
-    n_max: int
-    highlight_divisor: int | None = None
-    arm_layers: tuple[tuple[ArmSystem, str], ...] = ()
-    mirror: bool = False
+    It draws rays 1..min(FIGURE_N_MAX, n_max) of the table, highlights the
+    multiples of the report's divisor and colours its systems in label
+    order from ARM_PALETTE; `mirror` flips the y axis.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    n_max = min(FIGURE_N_MAX, n_max)
+    if n_max > table.n_max:
+        raise RangeExhausted(f"figure needs n_max={n_max}, table holds {table.n_max}")
 
-    def __post_init__(self) -> None:
-        if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
-
-
-def default_layers(report: DivisorReport) -> tuple[tuple[ArmSystem, str], ...]:
-    """Assign palette colors to a report's systems in label order."""
-    return tuple(
-        (system, ARM_PALETTE[i % len(ARM_PALETTE)])
-        for i, system in enumerate(report.systems)
-    )
-
-
-def render_svg(scene: Scene, table: SpiralTable) -> bytes:
-    """Render a Scene as a standalone SVG 1.1 document (bytes)."""
-    if scene.n_max > table.n_max:
-        raise RangeExhausted(
-            f"scene needs n_max={scene.n_max}, table holds {table.n_max}"
-        )
-
-    scale = (CANVAS / 2.0 - MARGIN) / math.sqrt(scene.n_max)
+    scale = (CANVAS / 2.0 - MARGIN) / math.sqrt(n_max)
     centre = CANVAS / 2.0
-    y_sign = 1.0 if scene.mirror else -1.0
+    y_sign = 1.0 if mirror else -1.0
 
     # Every point of the figure is a ray n <= n_max: format each ray once.
     # px[n], py[n] and point[n] are the coordinates of ray n (index 0 unused).
-    _, x, y = table.vertices(1, scene.n_max + 1)
+    _, x, y = table.vertices(1, n_max + 1)
     coords = fixed4_strings(np.concatenate([centre + scale * x, centre + y_sign * scale * y]))
-    px, py = ["", *coords[:scene.n_max]], ["", *coords[scene.n_max:]]
+    px, py = ["", *coords[:n_max]], ["", *coords[n_max:]]
     point = list(map(",".join, zip(px, py)))
 
     def polyline(numbers, color: str, width: str) -> str:
@@ -100,34 +86,31 @@ def render_svg(scene: Scene, table: SpiralTable) -> bytes:
     parts: list[str] = [
         _SVG_HEAD,
         '<g id="spiral">',
-        polyline(range(1, scene.n_max + 1), SPIRAL_COLOR, SPIRAL_STROKE),
+        polyline(range(1, n_max + 1), SPIRAL_COLOR, SPIRAL_STROKE),
         "</g>",
+        '<g id="multiples">',
     ]
-
-    if scene.highlight_divisor:
-        d = scene.highlight_divisor
-        parts.append('<g id="multiples">')
-        for n in range(d, scene.n_max + 1, d):
-            parts.append(
-                f'<circle cx="{px[n]}" cy="{py[n]}" '
-                f'r="{POINT_RADIUS}" fill="{HIGHLIGHT_COLOR}"/>'
-            )
-        parts.append("</g>")
+    for n in range(report.divisor, n_max + 1, report.divisor):
+        parts.append(
+            f'<circle cx="{px[n]}" cy="{py[n]}" r="{POINT_RADIUS}" fill="{HIGHLIGHT_COLOR}"/>'
+        )
+    parts.append("</g>")
 
     parts.append('<g id="square-reference">')
-    for numbers in square_members(scene.n_max):
+    for numbers in square_members(n_max):
         if len(numbers) >= 2:
             parts.append(polyline(numbers, SQUARE_REFERENCE_COLOR, ARM_STROKE))
     parts.append("</g>")
 
-    for system, color in scene.arm_layers:
+    for i, system in enumerate(report.systems):
+        color = ARM_PALETTE[i % len(ARM_PALETTE)]
         parts.append(f'<g id="system-{system.label}">')
         for arm in system.arms:
-            numbers = arm.members[:bisect_right(arm.members, scene.n_max)]  # members never descend
+            numbers = arm.members[:bisect_right(arm.members, n_max)]  # members never descend
             if len(numbers) >= 2:
                 parts.append(polyline(numbers, color, ARM_STROKE))
         anchor = system.arms[0].members[0] if system.arms else None
-        if anchor is not None and anchor <= scene.n_max:
+        if anchor is not None and anchor <= n_max:
             parts.append(
                 f'<text x="{px[anchor]}" y="{py[anchor]}" '
                 f'font-family="monospace" font-size="{LABEL_SIZE}" '
@@ -139,12 +122,12 @@ def render_svg(scene: Scene, table: SpiralTable) -> bytes:
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """A container at indent `pad` whose items are already laid out one level deeper."""
+def _block(items: list[str], pad: str) -> str:
+    """A list at indent `pad` whose items are already laid out one level deeper."""
     if not items:
-        return brackets
+        return "[]"
     inner = pad + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 #: Indents of an arm dict and of its keys in the JSON report.

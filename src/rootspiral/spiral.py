@@ -166,10 +166,6 @@ class SpiralTable:
         self._check(n)
         return float(self._theta[n])
 
-    def radius(self, n: int) -> float:
-        self._check(n)
-        return math.sqrt(n)
-
     def vertex(self, n: int) -> tuple[float, float]:
         """Cartesian position of ray sqrt(n), counterclockwise winding."""
         self._check(n)

@@ -55,6 +55,19 @@ class TestHalfIntQuadratic:
         assert str(q) == "10.5x^2 + 34.5x + 24"
         assert str(P1_D2) == "9x^2 + 21x + 8"
 
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((1, 200001, 0), "0.5x^2 + 100000.5x"),
+            ((1, 2000001, 0), "0.5x^2 + 1000000.5x"),
+            ((1, -2000001, 0), "0.5x^2 + -1000000.5x"),
+            ((3, -1, -2), "1.5x^2 + -0.5x + -1"),
+            ((2 * 10**20 + 1, 1, 2 * 10**20), "100000000000000000000.5x^2 + 0.5x + 100000000000000000000"),
+        ],
+    )
+    def test_str_prints_every_coefficient_exactly(self, coeffs, text):
+        assert str(HalfIntQuadratic(*coeffs)) == text
+
     def test_shift_preserves_second_differential(self):
         q = HalfIntQuadratic(21, 69, 48)
         s = q.shifted(3)

@@ -18,43 +18,38 @@ from rootspiral.config import Config
 from rootspiral.csvformat import _fixed4_cells, _fmt, _text, fixed4_strings
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
-from rootspiral.render import CANVAS, MARGIN, Scene, default_layers, export_report, render_svg
+from rootspiral.render import CANVAS, MARGIN, export_report, render_svg
 from rootspiral.spiral import SpiralTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_minimal_scene_single_segment(table):
-    svg = render_svg(Scene(n_max=2), table).decode()
+def test_minimal_scene_single_segment(table, reports):
+    svg = render_svg(reports[17], table, 2).decode()
     polylines = re.findall(r'<polyline[^>]*points="([^"]*)"', svg)
     assert len(polylines) == 1
     assert len(polylines[0].split()) == 2  # one segment: two vertices
 
 
-def test_scene_validation():
+def test_scene_validation(table, reports):
     with pytest.raises(ValueError):
-        Scene(n_max=1)
+        render_svg(reports[17], table, 1)
 
 
-def test_scene_exceeding_table_raises():
+def test_scene_exceeding_table_raises(reports):
     small = SpiralTable(100)
     with pytest.raises(RangeExhausted):
-        render_svg(Scene(n_max=200), small)
+        render_svg(reports[17], small, 200)
 
 
 def test_determinism_byte_identical(table):
     rep = discover(17, table=table)
-    scene = Scene(
-        n_max=2000,
-        highlight_divisor=17,
-        arm_layers=default_layers(rep),
-    )
-    assert render_svg(scene, table) == render_svg(scene, table)
+    assert render_svg(rep, table, 2000) == render_svg(rep, table, 2000)
 
 
-def test_mirror_flips_y(table):
-    plain = render_svg(Scene(n_max=50), table).decode()
-    flipped = render_svg(Scene(n_max=50, mirror=True), table).decode()
+def test_mirror_flips_y(table, reports):
+    plain = render_svg(reports[17], table, 50).decode()
+    flipped = render_svg(reports[17], table, 50, mirror=True).decode()
     assert plain != flipped
     pts = re.search(r'points="([^"]*)"', plain).group(1).split()
     fpts = re.search(r'points="([^"]*)"', flipped).group(1).split()
@@ -66,8 +61,8 @@ def test_mirror_flips_y(table):
         assert fy == pytest.approx(h - py, abs=2e-4)
 
 
-def test_plotted_vertices_match_spiral(table):
-    svg = render_svg(Scene(n_max=300), table).decode()
+def test_plotted_vertices_match_spiral(table, reports):
+    svg = render_svg(reports[17], table, 300).decode()
     pts = re.search(r'points="([^"]*)"', svg).group(1).split()
     assert len(pts) == 300
     scale = (CANVAS / 2 - MARGIN) / math.sqrt(300)
@@ -147,13 +142,13 @@ class TestFixed4Formatter:
         assert fixed4_strings(np.array([169101979193.4035])) == ["169101979193.4035"]
 
 
-def test_highlight_multiples(table):
-    svg = render_svg(Scene(n_max=100, highlight_divisor=17), table).decode()
+def test_highlight_multiples(table, reports):
+    svg = render_svg(reports[17], table, 100).decode()
     assert svg.count("<circle") == 5  # 17, 34, 51, 68, 85
 
 
-def test_square_reference_layer(table):
-    svg = render_svg(Scene(n_max=500), table).decode()
+def test_square_reference_layer(table, reports):
+    svg = render_svg(reports[17], table, 500).decode()
     assert 'id="square-reference"' in svg
 
 
@@ -227,22 +222,18 @@ class TestGolden:
         assert export_report(reports[d], "text") == golden
 
     def test_figure_d17(self, table):
-        from rootspiral.cli import _figure
-
         rep = discover(17, table=table)
         golden = (GOLDEN / "figure_d17.svg").read_bytes()
-        assert _figure(rep, Config(), table) == golden
+        assert render_svg(rep, table, Config().n_max) == golden
 
     @pytest.mark.parametrize(
         "d, mirror", [(2, False), (3, False), (5, False), (11, False), (13, False), (13, True)]
     )
     def test_figure_digest(self, table, reports, d, mirror):
         """The other figures of `report --all`, and `render --divisor 13 --mirror`."""
-        from rootspiral.cli import _figure
-
         digests = dict(
             line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines()
         )
         name = f"figure_d{d}{'_mirror' if mirror else ''}.svg"
-        svg = _figure(reports[d], Config(mirror=mirror), table)
+        svg = render_svg(reports[d], table, Config().n_max, mirror)
         assert hashlib.sha256(svg).hexdigest() == digests[name]
