@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="reports + figures for the claims divisors")
     common(p)
-    p.add_argument("--all", action="store_true", help="all divisors with published data")
-    p.add_argument("--divisor", type=int, default=None, help="a single divisor")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true", help="all divisors with published data")
+    which.add_argument("--divisor", type=int, help="a single divisor")
     p.add_argument("--mirror", action="store_true", help="flip the y axis")
     p.set_defaults(func=_cmd_report)
 
@@ -193,9 +194,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
-    if args.command == "report" and not args.all and args.divisor is None:
-        print("error: report needs --all or --divisor", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cfg = _load_config(args)
         return args.func(args, cfg, shared_table(cfg.n_max))

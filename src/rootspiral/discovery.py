@@ -33,7 +33,7 @@ import numpy as np
 
 from .claims import ClaimedPolynomial, DivisorClaims, all_claims, claimed_divisors
 from .config import Config
-from .errors import TooFew
+from .errors import RangeExhausted, TooFew
 from .quadratics import (
     MIN_DRIFT_STEPS,
     HalfIntQuadratic,
@@ -232,9 +232,9 @@ def enumerate_family_arms(
     when B = -A), so every member is positive. And 2f(x) > A*x*(x-1), so
     every row passes n_max once x*(x-1) >= 2*n_max/A, which bounds the
     grid width. The angles of the members are gathered from the table's
-    theta array and their step drifts tested as whole rows; the settled
-    run starts one past the last failing step. Rows are taken in chunks
-    of at most _GRID_CELLS cells.
+    theta array, which must cover n_max, and their step drifts tested as
+    whole rows; the settled run starts one past the last failing step.
+    Rows are taken in chunks of at most _GRID_CELLS cells.
 
     Before the grid, a pre-gate tests step s = run_start_max of every
     candidate alone: theta at f(s) and f(s + 1), read with the grid's
@@ -246,11 +246,12 @@ def enumerate_family_arms(
     the pre-gate drops ~89 % of the candidates, and every survivor is an
     arm.
     """
+    if config.n_max > table.n_max:
+        raise RangeExhausted(f"arms need n_max={config.n_max}, table holds {table.n_max}")
     residue = family_residue(A, d)
     if residue is None:
         return []
     br, _ = residue
-    table.ensure(config.n_max)
     theta = table.theta_array
     target = asymptotic_drift(A)
     width = math.isqrt(2 * config.n_max // A) + 3
@@ -302,7 +303,7 @@ def discover_arms(
     d: int,
     *,
     table: SpiralTable,
-    config: Config | None = None,
+    config: Config,
 ) -> list[Arm]:
     """All validated arms for divisor d across its family constants.
 
@@ -311,18 +312,17 @@ def discover_arms(
     near-centre window early_drift_lo .. early_drift_hi - 1 picks its
     direction.
     """
-    cfg = config or Config()
     fams = families_for(d)
     directions: dict[int, Rotation] = {}  # family constant -> its first direction
     for direction in (Rotation.POSITIVE, Rotation.NEGATIVE):
         if direction in fams:
             directions.setdefault(fams[direction], direction)
-    early = range(cfg.early_drift_lo, cfg.early_drift_hi)
+    early = range(config.early_drift_lo, config.early_drift_hi)
     arms: list[Arm] = []
     for A, direction in directions.items():
-        for q, numbers in enumerate_family_arms(A, d, table=table, config=cfg):
+        for q, numbers in enumerate_family_arms(A, d, table=table, config=config):
             if len(directions) == 1:
-                rot = rotation_of(q, early, table, epsilon=0.0, n_max=cfg.n_max)
+                rot = rotation_of(q, early, table, epsilon=0.0, n_max=config.n_max)
             else:
                 rot = direction
             arms.append(Arm(poly=q, divisor=d, members=tuple(numbers), rotation=rot))
@@ -376,7 +376,7 @@ def reference_radius(arms: Sequence[Arm]) -> float:
 
 
 def group_into_systems(
-    arms: Sequence[Arm], table: SpiralTable, gap_deg: float = 12.0
+    arms: Sequence[Arm], table: SpiralTable, gap_deg: float
 ) -> list[ArmSystem]:
     """Partition arms by rotation, then cluster asymptotic phases.
 
@@ -428,7 +428,7 @@ def system_spacing(systems: Sequence[ArmSystem]) -> float:
 
 
 def point_symmetry_pairs(
-    systems: Sequence[ArmSystem], tol_deg: float = 8.0
+    systems: Sequence[ArmSystem], tol_deg: float
 ) -> list[tuple[ArmSystem, ArmSystem]]:
     """Same-rotation system pairs whose anchors are 180 degrees apart."""
     tol = math.radians(tol_deg)
@@ -453,7 +453,7 @@ def point_symmetry_pairs(
 
 
 def axis_symmetry(
-    sys_a: ArmSystem, sys_b: ArmSystem, table: SpiralTable, tol_deg: float = 8.0
+    sys_a: ArmSystem, sys_b: ArmSystem, table: SpiralTable, tol_deg: float
 ) -> AxisSymmetry:
     """Mirror axis mapping one system's core arms onto the other's.
 
@@ -504,10 +504,11 @@ def square_members(n_max: int) -> list[list[int]]:
     return [[n for n in map(q.eval, xs) if 1 <= n <= n_max] for q in SQUARE_POLYS]
 
 
-def square_number_arms(
-    table: SpiralTable,
-    reference_winding_index: int = 20,
-) -> tuple[tuple[HalfIntQuadratic, ...], list[float]]:
+#: The winding at which square_number_arms reads the three separations.
+SQUARE_REFERENCE_WINDING = 20
+
+
+def square_number_arms(table: SpiralTable) -> tuple[tuple[HalfIntQuadratic, ...], list[float]]:
     """The three square-number reference graphs and their separations.
 
     The squares fall on (3x)^2, (3x+1)^2 and (3x+2)^2 -- all with second
@@ -517,7 +518,7 @@ def square_number_arms(
     """
     # members nearest the reference winding: three consecutive squares
     reps = [
-        min(numbers, key=lambda n: abs(table.winding_of(n) - reference_winding_index))
+        min(numbers, key=lambda n: abs(table.winding_of(n) - SQUARE_REFERENCE_WINDING))
         for numbers in square_members(table.n_max)
     ]
     reps.sort()

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Iterable, Sequence
 
-from .errors import Inconsistent, NotHalfInteger, NotQuadratic, TooShort
+from .errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooShort
 from .spiral import TWO_PI, SpiralTable
 
 
@@ -198,15 +198,15 @@ def rotation_of(
     q: HalfIntQuadratic,
     x_range: Iterable[int],
     table: SpiralTable,
-    epsilon: float = 0.005,
+    epsilon: float,
     *,
-    n_max: int | None = None,
+    n_max: int,
 ) -> Rotation:
     """Rotation direction of the arm from its mean drift over x_range.
 
-    The window is read up to n_max (default: the table's end, and never
-    past it): it stops before the first step whose far value f(x+1) lies
-    past that limit, and a window with no step left has mean drift 0.
+    The window is read up to n_max, which the table must cover: it stops
+    before the first step whose far value f(x+1) lies past n_max, and a
+    window with no step left has mean drift 0.
 
     Negative mean drift means the arm falls behind the counterclockwise
     spiral, i.e. it curls clockwise relative to the rays -- those arms carry
@@ -216,8 +216,9 @@ def rotation_of(
     xs = list(x_range)
     if len(xs) < MIN_DRIFT_STEPS:
         raise ValueError(f"x_range must contain at least {MIN_DRIFT_STEPS} steps")
-    limit = table.n_max if n_max is None else min(n_max, table.n_max)
-    steps = list(takewhile(lambda x: q.eval(x + 1) <= limit, xs))
+    if n_max > table.n_max:
+        raise RangeExhausted(f"drift window needs n_max={n_max}, table holds {table.n_max}")
+    steps = list(takewhile(lambda x: q.eval(x + 1) <= n_max, xs))
     m = sum(drift(q, x, table) for x in steps) / max(len(steps), 1)
     if abs(m) < epsilon:
         return Rotation.INDETERMINATE

@@ -27,8 +27,8 @@ TWO_PI = 2.0 * math.pi
 
 _BLOCK = 4096
 
-#: Terms computed per step of a table build. A multiple of _BLOCK, so the
-#: summation blocks, and with them every angle, are those of a one-shot build.
+#: Terms computed per step of a table build. A multiple of _BLOCK, so every
+#: step but the last ends on a block boundary and hands on its whole sum.
 _GROW_TERMS = 1 << 16
 
 #: Rows formatted per write by SpiralTable.write_csv. Bounds its temporaries:
@@ -87,8 +87,8 @@ def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, 
     so its rounding is negligible). Each whole block's exact sum, correctly
     rounded by _block_sums, advances a Kahan-compensated (sum, correction)
     pair that carries the running total. Only whole blocks advance the
-    returned carry, so a partial last block can be summed again once it has
-    grown.
+    returned carry, so only the last step of a build may end in a partial
+    block.
     """
     total, comp = carry
     n = len(terms)
@@ -108,31 +108,26 @@ def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, 
 
 
 class SpiralTable:
-    """Prefix-sum table of spiral angles, built once and then read-only.
+    """Prefix-sum table of spiral angles, built in one pass and then read-only.
 
-    theta[n] (1-based) is the unwrapped angle of ray sqrt(n); index 0 is
-    unused. All accessors are O(1) after construction.
+    theta[n] (1-based) is the unwrapped angle of ray sqrt(n) for n up to
+    n_max; index 0 is unused. All accessors are O(1) after construction.
     """
 
     def __init__(self, n_max: int):
         if n_max < 2:
             raise ValueError("n_max must be at least 2")
-        self._theta = np.empty(n_max + 1, dtype=np.float64)
-        self._theta[0] = np.nan
-        self._theta[1] = 0.0
-        self._open_block = 1  # first term of the open (partial) summation block
-        self._carry = (0.0, 0.0)  # compensated sum of the terms before it
-        self._n_max = 1
-        self._grow(n_max)
+        self._build(n_max)
 
-    def _grow(self, n_max: int) -> None:
-        # Resuming at the open block keeps every block where a one-shot build
-        # puts it; the angles rewritten there come out bit-identical.
-        for lo in range(self._open_block, n_max, _GROW_TERMS):
+    def _build(self, n_max: int) -> None:
+        theta = np.empty(n_max + 1, dtype=np.float64)
+        theta[0] = np.nan
+        theta[1] = 0.0
+        carry = (0.0, 0.0)
+        for lo in range(1, n_max, _GROW_TERMS):
             hi = min(lo + _GROW_TERMS, n_max)
-            terms = _angle_terms(lo, hi)
-            self._carry = _compensated_prefix(terms, self._theta[lo + 1:hi + 1], self._carry)
-        self._open_block = n_max - (n_max - 1) % _BLOCK
+            carry = _compensated_prefix(_angle_terms(lo, hi), theta[lo + 1:hi + 1], carry)
+        self._theta = theta
         self._n_max = n_max
 
     @property
@@ -142,17 +137,14 @@ class SpiralTable:
     @property
     def theta_array(self) -> np.ndarray:
         """The raw unwrapped-angle array (index n holds theta(n)); read-only."""
-        view = self._theta[:self._n_max + 1]
+        view = self._theta.view()
         view.flags.writeable = False
         return view
 
     def ensure(self, n_max: int) -> "SpiralTable":
-        """Extend the table in place if it does not yet cover n_max."""
+        """Rebuild the table in place, in one pass, if it does not cover n_max."""
         if n_max > self._n_max:
-            grown = np.empty(n_max + 1, dtype=np.float64)
-            grown[:self._n_max + 1] = self._theta[:self._n_max + 1]
-            self._theta = grown
-            self._grow(n_max)
+            self._build(n_max)
         return self
 
     def _check(self, n: int) -> None:
@@ -213,7 +205,7 @@ class SpiralTable:
         """Smallest m with theta(m) >= theta(n) + 2*pi."""
         self._check(n)
         target = self._theta[n] + TWO_PI
-        m = int(np.searchsorted(self._theta[1:self._n_max + 1], target, side="left")) + 1
+        m = int(np.searchsorted(self._theta[1:], target, side="left")) + 1
         if m > self._n_max:
             raise RangeExhausted(
                 f"no ray with angle >= theta({n}) + 2*pi inside the table (n_max={self._n_max})"
@@ -232,21 +224,20 @@ class SpiralTable:
         self._check(n_terms)
         return float(self._theta[n_terms]) - 2.0 * math.sqrt(n_terms)
 
-    def write_csv(self, stream: IO[str], n_max: int | None = None) -> None:
+    def write_csv(self, stream: IO[str], n_max: int) -> None:
         """Bulk export: n, radius, theta_rad, winding, x, y at 18 significant digits.
 
-        Rows go out in chunks of _CSV_ROWS, one write per chunk. Each value is
+        Rows 1 .. n_max go out in chunks of _CSV_ROWS, one write per chunk. Each value is
         the one point(n) gives; x and y come from vertices. The text is that of
         "%.17e" byte for byte: csvformat.csv_text formats it in numpy with
         exact rounding, and hands the rare value it cannot print exactly
         (zero, non-finite, out of range, or within 2**-30 of a rounding tie)
         to the "%.17e" row formatter, one row at a time.
         """
-        limit = self._n_max if n_max is None else n_max
-        self._check(limit)
+        self._check(n_max)
         stream.write("n,radius,theta_rad,winding,x,y\n")
-        for lo in range(1, limit + 1, _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, limit + 1)
+        for lo in range(1, n_max + 1, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, n_max + 1)
             theta = self._theta[lo:hi]
             radius, x, y = self.vertices(lo, hi)
             winding = np.floor_divide(theta, TWO_PI).astype(np.int64)
@@ -257,7 +248,7 @@ _shared: SpiralTable | None = None
 
 
 def shared_table(n_max: int) -> SpiralTable:
-    """Process-wide table, grown on demand and shared read-only."""
+    """Process-wide table, shared read-only; rebuilt when asked to cover more."""
     global _shared
     if _shared is None:
         _shared = SpiralTable(n_max)

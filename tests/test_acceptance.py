@@ -53,7 +53,7 @@ def test_criterion_03_rotation_concordance(table):
         hi = 40
         while cp.poly.eval(hi + 1) > table.n_max:
             hi -= 1
-        got = rotation_of(cp.poly, range(5, hi), table)
+        got = rotation_of(cp.poly, range(5, hi), table, 0.005, n_max=table.n_max)
         if got is not cp.rotation_label:
             discordant.append((cp.divisor, cp.label))
     assert sorted(discordant) == [(5, "P1"), (11, "P1"), (17, "N1")]
@@ -117,7 +117,7 @@ def test_criterion_07_symmetry(reports, table):
     pos3 = [s for s in reports[3].systems if s.rotation.value == "positive"]
     assert len(point_symmetry_pairs(pos3, 8.0)) == 3
     n1, n2 = [s for s in reports[13].systems if s.rotation.value == "negative"]
-    result = axis_symmetry(n1, n2, table)
+    result = axis_symmetry(n1, n2, table, 8.0)
     assert result.symmetric
     x1, y1 = table.vertex(116)
     x2, y2 = table.vertex(152)
@@ -136,7 +136,7 @@ def test_criterion_08_pi_limit():
 
 def test_criterion_09_square_three_symmetry(table):
     """Square-number arms: second differential 18, separations 114.6 +- 5."""
-    polys, seps = square_number_arms(table, reference_winding_index=20)
+    polys, seps = square_number_arms(table)
     assert all(q.second_differential == 18 for q in polys)
     assert len(seps) == 3
     for s in seps:

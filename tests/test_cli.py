@@ -82,6 +82,7 @@ def test_unknown_subcommand_and_missing_args():
     assert run(["frobnicate"]) == EXIT_USAGE
     assert run(["discover"]) == EXIT_USAGE  # --divisor required
     assert run(["report"]) == EXIT_USAGE  # needs --all or --divisor
+    assert run(["report", "--all", "--divisor", "3"]) == EXIT_USAGE  # not both
 
 
 def test_verify_d17_exits_zero(capsys):

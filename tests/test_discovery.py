@@ -24,7 +24,7 @@ from rootspiral.discovery import (
     system_spacing,
     verify_paper_table,
 )
-from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, TooFew
+from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooFew
 from rootspiral.quadratics import (
     HalfIntQuadratic,
     Rotation,
@@ -147,7 +147,7 @@ class TestChainsToArms:
 
     def test_arm_invariants(self, table):
         """A discovered arm is its polynomial's values, one winding apart once settled."""
-        (arm,) = [a for a in discover_arms(2, table=table) if a.poly == HalfIntQuadratic(20, 28, 4)]
+        (arm,) = [a for a in discover_arms(2, table=table, config=Config()) if a.poly == HalfIntQuadratic(20, 28, 4)]
         numbers = arm.members
         assert all(n % 2 == 0 for n in numbers)
         assert all(arm.poly.eval(x) == n for x, n in enumerate(numbers))
@@ -289,7 +289,7 @@ class TestFamilyEnumeration:
             return enumerate_family_arms(A, d, **kwargs)
 
         monkeypatch.setattr(discovery, "enumerate_family_arms", counted)
-        discovery.discover_arms(d, table=table)
+        discovery.discover_arms(d, table=table, config=Config())
         assert sorted(calls) == sorted(set(families_for(d).values()))
 
 
@@ -321,6 +321,12 @@ class TestDirectionSplit:
             want = Rotation.POSITIVE if drift < 0 else Rotation.NEGATIVE
             assert arm.rotation is want, str(arm.poly)
 
+    def test_table_smaller_than_n_max_is_not_grown(self):
+        table = SpiralTable(1000)
+        with pytest.raises(RangeExhausted):
+            discover(5, table=table, config=Config(n_max=2000))
+        assert table.n_max == 1000
+
     def test_window_reaches_past_small_table(self):
         cfg = Config(n_max=300)
         table = SpiralTable(300)
@@ -345,7 +351,7 @@ class TestSystems:
         q = canonical_shift(HalfIntQuadratic(18, 42, 16))
         members = tuple(q.eval(x) for x in range(8))
         arm = Arm(poly=q, divisor=2, members=members, rotation=Rotation.POSITIVE)
-        (system,) = group_into_systems([arm], table)
+        (system,) = group_into_systems([arm], table, 12.0)
         assert system.label == "P1"
         assert system.arms == (arm,)
         assert system.anchor_angle == arm.angle_at_radius(math.sqrt(members[-1]), table)
@@ -405,7 +411,7 @@ class TestSymmetry:
 
     def test_axis_symmetry_d13(self, table, reports):
         neg = [s for s in reports[13].systems if s.rotation.value == "negative"]
-        result = axis_symmetry(neg[0], neg[1], table)
+        result = axis_symmetry(neg[0], neg[1], table, 8.0)
         assert result.symmetric
         x1, y1 = table.vertex(116)
         x2, y2 = table.vertex(152)
@@ -415,7 +421,7 @@ class TestSymmetry:
 
     def test_axis_symmetry_self(self, table, reports):
         system = reports[13].systems[0]
-        result = axis_symmetry(system, system, table)
+        result = axis_symmetry(system, system, table, 8.0)
         assert result.symmetric
 
     def test_axis_symmetry_within_family_rungs(self, table, reports):
@@ -423,12 +429,12 @@ class TestSymmetry:
         # same-direction systems also register as axis-symmetric; the
         # informative quantity is the fitted axis angle itself.
         neg = [s for s in reports[2].systems if s.rotation.value == "negative"][:2]
-        result = axis_symmetry(neg[0], neg[1], table)
+        result = axis_symmetry(neg[0], neg[1], table, 8.0)
         assert result.max_error_deg < 8.0
 
     def test_axis_symmetry_rejects_mixed_divisors(self, table, reports):
         with pytest.raises(ValueError):
-            axis_symmetry(reports[2].systems[0], reports[3].systems[0], table)
+            axis_symmetry(reports[2].systems[0], reports[3].systems[0], table, 8.0)
 
 
 class TestSquareArms:

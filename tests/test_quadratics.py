@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootspiral.claims import all_claims, all_polynomials
-from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, TooShort
+from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooShort
 from rootspiral.quadratics import (
     MIN_DRIFT_STEPS,
     DifferenceTable,
@@ -226,9 +226,10 @@ class TestDrift:
 
     def test_rotation_examples(self, table):
         xr = range(5, 40)
-        assert rotation_of(P1_D2, xr, table) is Rotation.POSITIVE
-        assert rotation_of(HalfIntQuadratic(20, 28, 4), xr, table) is Rotation.NEGATIVE
-        assert rotation_of(HalfIntQuadratic(26, 104, 78), xr, table) is Rotation.NEGATIVE
+        n = table.n_max
+        assert rotation_of(P1_D2, xr, table, 0.005, n_max=n) is Rotation.POSITIVE
+        assert rotation_of(HalfIntQuadratic(20, 28, 4), xr, table, 0.005, n_max=n) is Rotation.NEGATIVE
+        assert rotation_of(HalfIntQuadratic(26, 104, 78), xr, table, 0.005, n_max=n) is Rotation.NEGATIVE
 
     def test_rotation_window_stops_at_table_end(self):
         small = SpiralTable(1000)
@@ -236,17 +237,22 @@ class TestDrift:
         assert steps == [5, 6, 7, 8]  # f(10) = 1118 is past the table
         m = sum(drift(P1_D2, x, small) for x in steps) / len(steps)
         assert m < -0.005
-        assert rotation_of(P1_D2, range(5, 40), small) is Rotation.POSITIVE
+        assert rotation_of(P1_D2, range(5, 40), small, 0.005, n_max=small.n_max) is Rotation.POSITIVE
 
     def test_rotation_window_past_table_end_is_zero_drift(self):
         small = SpiralTable(300)
         assert P1_D2.eval(11) > small.n_max
-        assert rotation_of(P1_D2, range(10, 40), small) is Rotation.INDETERMINATE
+        assert rotation_of(P1_D2, range(10, 40), small, 0.005, n_max=small.n_max) is Rotation.INDETERMINATE
+
+    def test_rotation_window_past_table_raises(self):
+        with pytest.raises(RangeExhausted):
+            rotation_of(HalfIntQuadratic(18, -6, 4), range(5, 40), SpiralTable(1000), 0.005, n_max=2000)
 
     def test_rotation_needs_enough_steps(self, table):
         with pytest.raises(ValueError):
-            rotation_of(P1_D2, range(5, 8), table)
-        assert rotation_of(P1_D2, range(5, 5 + MIN_DRIFT_STEPS), table) is Rotation.POSITIVE
+            rotation_of(P1_D2, range(5, 8), table, 0.005, n_max=table.n_max)
+        xr = range(5, 5 + MIN_DRIFT_STEPS)
+        assert rotation_of(P1_D2, xr, table, 0.005, n_max=table.n_max) is Rotation.POSITIVE
 
 
 def test_count_times_divisor_equals_second_differential():

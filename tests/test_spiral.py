@@ -295,11 +295,10 @@ def test_csv_export():
     assert float(fields[2]) == t.angle(2)
 
 
-def _write_csv_oracle(table, stream, n_max=None):
+def _write_csv_oracle(table, stream, n_max):
     """The row-at-a-time CSV export, one point() per row."""
-    limit = table.n_max if n_max is None else n_max
     stream.write("n,radius,theta_rad,winding,x,y\n")
-    for n in range(1, limit + 1):
+    for n in range(1, n_max + 1):
         p = table.point(n)
         stream.write(
             f"{p.n},{p.radius:.17e},{p.theta:.17e},{p.winding},"
@@ -307,13 +306,13 @@ def _write_csv_oracle(table, stream, n_max=None):
         )
 
 
-def _csv(write, table, n_max=None):
+def _csv(write, table, n_max):
     buf = io.StringIO()
     write(table, buf, n_max)
     return buf.getvalue()
 
 
-def _first_difference(table, n_max=None):
+def _first_difference(table, n_max):
     """(line index, export line, oracle line) of the first line where write_csv
     and the row oracle differ, or None. Keeps a failure's report to one line."""
     lines = zip_longest(
@@ -335,7 +334,7 @@ class TestChunkedCsv:
         assert _first_difference(exact, limit) is None
 
     def test_whole_table(self, exact):
-        assert _first_difference(exact) is None
+        assert _first_difference(exact, exact.n_max) is None
 
     def test_table_larger_than_limit(self):
         big = SpiralTable(2 * _CSV_ROWS + 100)
