@@ -1,7 +1,8 @@
-"""Run configuration: tolerances, ranges, and output settings.
+"""Run configuration: the run's settings, its calibration and its fixed tolerances.
 
-All calibrated defaults live here so a run is fully reproducible from its
-config. A JSON file with any subset of the field names overrides defaults.
+A run is fully reproducible from its config, and every JSON report prints
+all of its values under `parameters`. A JSON config file may set any
+subset of the init fields, and none of the fixed (init=False) ones.
 """
 
 from __future__ import annotations
@@ -9,11 +10,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-from .quadratics import MIN_DRIFT_STEPS
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ROOTSPIRAL_OUT"
@@ -23,17 +22,19 @@ OUTPUT_DIR_ENV = "ROOTSPIRAL_OUT"
 class Config:
     """Pipeline parameters.
 
-    The first block mirrors the user-facing knobs; the second block holds
-    the calibrated discovery constants (documented in discovery).
+    The init fields are the run's settings and the calibrated discovery
+    constants (documented in discovery). The init=False fields are the
+    fixed bounds the claims are judged at and the fixed enumeration limits;
+    no run can retune them, and each is read as `Config.<name>`.
     """
 
     n_max: int = 20000
     angular_tol_rad: float = 0.35  # 0.25 loses d = 17 N1 (see the margins below)
     min_chain_len: int = 5
-    gap_deg: float = 12.0
-    pair_tol_deg: float = 8.0
-    pair_claim_tol_deg: float = 12.0  # published pairings are visual judgments
-    drift_epsilon_rad: float = 0.005
+    gap_deg: float = field(default=12.0, init=False)
+    pair_tol_deg: float = field(default=8.0, init=False)
+    pair_claim_tol_deg: float = field(default=12.0, init=False)  # pairings judged by eye
+    drift_epsilon_rad: float = field(default=0.005, init=False)
     mirror: bool = False
     output_dir: str = ""
 
@@ -44,30 +45,25 @@ class Config:
                                    #  40 loses d = 5 N3 and d = 17 N1
     run_start_max: int = 7         # settled drift run must begin by this step;
                                    #  5 loses d = 17 N1 and P1
-    b_hard_max: int = 1200         # absolute bound on the doubled linear coefficient
-    early_drift_lo: int = 1        # near-centre drift window (inclusive lo,
-    early_drift_hi: int = 7        #  exclusive hi) for direction of equal-A families
+    b_hard_max: int = field(default=1200, init=False)   # bound on the doubled linear coefficient
+    early_drift_lo: int = field(default=1, init=False)  # near-centre drift window (inclusive lo,
+    early_drift_hi: int = field(default=7, init=False)  #  exclusive hi) splitting equal-A families
 
     def __post_init__(self) -> None:
         if self.n_max < 100:
             raise ValueError("n_max must be at least 100")
-        for name in ("angular_tol_rad", "gap_deg", "pair_tol_deg", "drift_epsilon_rad"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.angular_tol_rad <= 0:
+            raise ValueError("angular_tol_rad must be positive")
         if self.min_chain_len < 4:
             raise ValueError("min_chain_len must be at least 4")
-        if self.early_drift_lo < 0 or self.early_drift_hi - self.early_drift_lo < MIN_DRIFT_STEPS:
-            raise ValueError(
-                f"early drift window must start at x >= 0 and span at least {MIN_DRIFT_STEPS} steps"
-            )
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "Config":
-        """Load a JSON config; unknown keys are rejected."""
+        """Load a JSON config; keys other than the init fields are rejected."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("config file must contain a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for f in dataclasses.fields(cls) if f.init}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

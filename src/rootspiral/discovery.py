@@ -162,19 +162,27 @@ class DivisorReport:
 # ---------------------------------------------------------------------------
 
 
-def canonical_shift(q: HalfIntQuadratic) -> HalfIntQuadratic:
-    """Shift x so the arm starts at its innermost valid member.
+def canonical_start(A, B, C):
+    """Whether an arm with f(0) >= 1 starts at x = 0; ints or numpy arrays.
 
-    Canonical form: f(0) >= 1 and the previous value f(-1) either leaves
-    the positive range (f(-1) <= 0) or strictly ascends (f(-1) > f(0)).
-    The strict comparison makes the representative unique for plateau arms
+    True where the previous value f(-1) leaves the positive range
+    (f(-1) <= 0) or strictly ascends (f(-1) > f(0), that is B < A). The
+    strict comparison makes the representative unique for plateau arms
     with f(-1) == f(0) (doubled B == A), which otherwise have two valid
     starting points one step apart.
     """
+    return (A - B + C <= 0) | (B < A)
+
+
+def canonical_shift(q: HalfIntQuadratic) -> HalfIntQuadratic:
+    """Shift x so the arm starts at its innermost valid member.
+
+    Canonical form: f(0) >= 1 and canonical_start holds.
+    """
     while True:
-        fm1 = q.A - q.B + q.C  # doubled f(-1)
-        if q.C >= 2 and (fm1 <= 0 or fm1 > q.C):
+        if q.C >= 2 and canonical_start(q.A, q.B, q.C):
             return q
+        fm1 = q.A - q.B + q.C  # doubled f(-1)
         q = q.shifted(-1) if 2 <= fm1 <= q.C else q.shifted(1)
 
 
@@ -187,7 +195,8 @@ def families_for(d: int) -> dict[Rotation, int]:
     asymptotic drift serves the positive direction and the smallest A with
     positive drift serves the negative direction. When no multiple of d lies
     below 2*pi^2 (d >= 20), the one family A = d serves both directions and
-    discover_arms splits its arms by early drift, as for d = 17.
+    discover_arms splits its arms by early drift, as for d = 17. Both
+    directions are always keys of the result.
     """
     if d < 2:
         raise ValueError(f"divisor must be >= 2, got {d}")
@@ -257,12 +266,11 @@ def enumerate_family_arms(
     width = math.isqrt(2 * config.n_max // A) + 3
     B, C = np.meshgrid(
         np.concatenate(
-            (np.arange(br, config.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
+            (np.arange(br, Config.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
         ),
         np.arange(2 * d, 2 * config.centre_cap + 1, 2 * d),  # C = 0 (mod 2d) and C >= 2
     )
-    fm1 = A - B + C  # doubled f(-1)
-    canonical = (fm1 <= 0) | (fm1 > C)  # otherwise the arm starts further in
+    canonical = canonical_start(A, B, C)  # otherwise the arm starts further in
     B, C = B[canonical].astype(np.int64), C[canonical].astype(np.int64)
 
     # Clamped into the grid: below step 0 the grid keeps no row, and past
@@ -315,9 +323,8 @@ def discover_arms(
     fams = families_for(d)
     directions: dict[int, Rotation] = {}  # family constant -> its first direction
     for direction in (Rotation.POSITIVE, Rotation.NEGATIVE):
-        if direction in fams:
-            directions.setdefault(fams[direction], direction)
-    early = range(config.early_drift_lo, config.early_drift_hi)
+        directions.setdefault(fams[direction], direction)
+    early = range(Config.early_drift_lo, Config.early_drift_hi)
     arms: list[Arm] = []
     for A, direction in directions.items():
         for q, numbers in enumerate_family_arms(A, d, table=table, config=config):
@@ -375,18 +382,16 @@ def reference_radius(arms: Sequence[Arm]) -> float:
     return min(math.sqrt(arm.members[-1]) for arm in arms)
 
 
-def group_into_systems(
-    arms: Sequence[Arm], table: SpiralTable, gap_deg: float
-) -> list[ArmSystem]:
+def group_into_systems(arms: Sequence[Arm], table: SpiralTable) -> list[ArmSystem]:
     """Partition arms by rotation, then cluster asymptotic phases.
 
     Within one direction, arms whose phase angles (B mod 2A scaled to the
-    circle) fall within gap_deg of each other under single linkage form
-    one system. Systems are labeled P1..Pk / N1..Nk ordered by anchor
+    circle) fall within Config.gap_deg of each other under single linkage
+    form one system. Systems are labeled P1..Pk / N1..Nk ordered by anchor
     angle from the positive x-axis; the anchor is the angle where the
     system's core arm (_core_arm) crosses the group's reference circle.
     """
-    gap_rad = math.radians(gap_deg)
+    gap_rad = math.radians(Config.gap_deg)
     systems: list[ArmSystem] = []
     for rot, prefix in ((Rotation.POSITIVE, "P"), (Rotation.NEGATIVE, "N")):
         group = [a for a in arms if a.rotation is rot]
@@ -452,17 +457,15 @@ def point_symmetry_pairs(
     return pairs
 
 
-def axis_symmetry(
-    sys_a: ArmSystem, sys_b: ArmSystem, table: SpiralTable, tol_deg: float
-) -> AxisSymmetry:
+def axis_symmetry(sys_a: ArmSystem, sys_b: ArmSystem, table: SpiralTable) -> AxisSymmetry:
     """Mirror axis mapping one system's core arms onto the other's.
 
     The axis is the bisector of the two systems' core anchors (the arms
     hugging the family asymptote). The systems are symmetric when every
-    reflected core-arm angle of one system lands within tol_deg of some
-    arm of the other system, both ways. Far-from-asymptote arms are left
-    out of the test: their angular offsets grow with the vertex value and
-    the published symmetry is a statement about the visible core bands.
+    reflected core-arm angle of one system lands within Config.pair_tol_deg
+    of some arm of the other system, both ways. Far-from-asymptote arms are
+    left out of the test: their angular offsets grow with the vertex value
+    and the published symmetry is a statement about the visible core bands.
     """
     if sys_a.divisor != sys_b.divisor:
         raise ValueError("axis symmetry is defined within one divisor")
@@ -484,7 +487,7 @@ def axis_symmetry(
             err = min(abs(_circ_diff(reflected, t)) for t in targets)
             worst = max(worst, err)
     return AxisSymmetry(
-        symmetric=worst <= math.radians(tol_deg),
+        symmetric=worst <= math.radians(Config.pair_tol_deg),
         axis_angle=axis % math.pi,
         max_error_deg=math.degrees(worst),
     )
@@ -547,17 +550,17 @@ def discover(
     cfg = config or Config()
     table = table or shared_table(cfg.n_max)
     arms = discover_arms(d, table=table, config=cfg)
-    systems = tuple(group_into_systems(arms, table, cfg.gap_deg))
+    systems = tuple(group_into_systems(arms, table))
     spacing: dict[str, float] = {}
     symmetry: dict[str, object] = {}
     for rot in (Rotation.POSITIVE, Rotation.NEGATIVE):
         group = [s for s in systems if s.rotation is rot]
         if len(group) >= 2:
             spacing[rot.value] = system_spacing(group)
-        pairs = point_symmetry_pairs(group, cfg.pair_tol_deg)
+        pairs = point_symmetry_pairs(group, Config.pair_tol_deg)
         symmetry[f"point_pairs_{rot.value}"] = [[a.label, b.label] for a, b in pairs]
         if len(group) == 2:
-            mirror = axis_symmetry(group[0], group[1], table, cfg.pair_tol_deg)
+            mirror = axis_symmetry(group[0], group[1], table)
             symmetry[f"axis_{rot.value}"] = {
                 "systems": [group[0].label, group[1].label],
                 "symmetric": mirror.symmetric,
@@ -647,10 +650,10 @@ def _claim_rows(
         if not want_pairs:
             continue
         # The published pairings are visual judgments; they are verified at
-        # the dedicated (wider) claim tolerance, not the strict API default.
+        # the dedicated (wider) claim tolerance, not the report's pair_tol_deg.
         group = [s for s in report.systems if s.rotation.value == key]
         got_pairs = [
-            [a.label, b.label] for a, b in point_symmetry_pairs(group, cfg.pair_claim_tol_deg)
+            [a.label, b.label] for a, b in point_symmetry_pairs(group, Config.pair_claim_tol_deg)
         ]
         yield (
             f"{key} point-symmetric pairs = {len(want_pairs)}",
@@ -664,7 +667,7 @@ def _claim_rows(
         if not all(lbl in by_label for lbl in labels):
             yield claim, False, "claimed systems not found"
             return
-        result = axis_symmetry(by_label[labels[0]], by_label[labels[1]], table, cfg.pair_tol_deg)
+        result = axis_symmetry(by_label[labels[0]], by_label[labels[1]], table)
         chord = _chord_direction(*dc.axis_symmetry["chord"], table)
         axis_err = math.degrees(abs(_half_circ_diff(result.axis_angle, chord)))
         detail = (
@@ -674,7 +677,7 @@ def _claim_rows(
         if not result.symmetric:
             detail += (
                 f"; not symmetric: core arms mirror to {result.max_error_deg:.1f} deg"
-                f" > {cfg.pair_tol_deg:g} deg"
+                f" > {Config.pair_tol_deg:g} deg"
             )
         yield claim, result.symmetric and axis_err <= 10.0, detail
 
@@ -691,7 +694,7 @@ def _rotation_outcome(
     need = max(cp.poly.eval(x + 1) for x in window[:MIN_DRIFT_STEPS])
     if need > cfg.n_max:
         return False, f"{MIN_DRIFT_STEPS} drift steps from x = {window.start} need n_max >= {need}"
-    computed = rotation_of(cp.poly, window, table, epsilon=cfg.drift_epsilon_rad, n_max=cfg.n_max)
+    computed = rotation_of(cp.poly, window, table, epsilon=Config.drift_epsilon_rad, n_max=cfg.n_max)
     if computed is cp.rotation_label:
         return True, f"drift-sign rotation {computed.value}"
     return None, f"drift-sign rotation {computed.value} (known equal-A discordance, not a failure)"

@@ -117,7 +117,7 @@ def test_criterion_07_symmetry(reports, table):
     pos3 = [s for s in reports[3].systems if s.rotation.value == "positive"]
     assert len(point_symmetry_pairs(pos3, 8.0)) == 3
     n1, n2 = [s for s in reports[13].systems if s.rotation.value == "negative"]
-    result = axis_symmetry(n1, n2, table, 8.0)
+    result = axis_symmetry(n1, n2, table)
     assert result.symmetric
     x1, y1 = table.vertex(116)
     x2, y2 = table.vertex(152)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from rootspiral import spiral
 from rootspiral.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
-from rootspiral.config import OUTPUT_DIR_ENV
+from rootspiral.config import OUTPUT_DIR_ENV, Config
 from rootspiral.spiral import _CSV_ROWS, SpiralTable, shared_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,14 +222,42 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_config_file_rejects_short_early_drift_window(tmp_path, capsys):
+FIXED_FIELDS = (
+    "gap_deg", "pair_tol_deg", "pair_claim_tol_deg", "drift_epsilon_rad",
+    "b_hard_max", "early_drift_lo", "early_drift_hi",
+)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        # a fixed tolerance is an unknown key, even at its own value
+        *(({name: getattr(Config, name)}, f"unknown config keys: ['{name}']")
+          for name in FIXED_FIELDS),
+        ({"angular_tol_rad": 0}, "angular_tol_rad must be positive"),
+        ({"min_chain_len": 3}, "min_chain_len must be at least 4"),
+        ({"n_max": 99}, "n_max must be at least 100"),
+    ],
+    ids=[*FIXED_FIELDS, "angular_tol_rad=0", "min_chain_len=3", "n_max=99"],
+)
+def test_config_file_rejects(tmp_path, capsys, data, error):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"early_drift_lo": 1, "early_drift_hi": 4}))
+    cfg.write_text(json.dumps(data))
     out = tmp_path / "d17.json"
     code = run(["discover", "--divisor", "17", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_USAGE
-    assert "early drift window" in capsys.readouterr().err
+    assert f"error: {error}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_settable_fields():
+    """Only the run settings and the calibration are settable; all 14 are reported."""
+    settable = [f.name for f in dataclasses.fields(Config) if f.init]
+    assert settable == [
+        "n_max", "angular_tol_rad", "min_chain_len", "mirror", "output_dir",
+        "centre_cap", "run_start_max",
+    ]
+    assert sorted(Config().to_dict()) == sorted([*settable, *FIXED_FIELDS])
 
 
 def test_cli_determinism(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 
 from rootspiral import discovery
@@ -13,6 +14,7 @@ from rootspiral.config import Config
 from rootspiral.discovery import (
     Arm,
     canonical_shift,
+    canonical_start,
     discover,
     discover_arms,
     enumerate_family_arms,
@@ -245,6 +247,27 @@ def _scalar_family_arms(A, d, table, cfg):
     return found
 
 
+def test_canonical_shift_fixes_exactly_the_canonical_starts():
+    """canonical_shift(q) == q exactly where canonical_start holds, for C >= 2,
+    and that is where f(-1) <= 0 or f(-1) > f(0); the predicate gives the
+    same answers on numpy arrays."""
+    box = [
+        (A, B, C)
+        for A in range(1, 13)
+        for B in range(-40, 41)
+        if (A + B) % 2 == 0
+        for C in range(2, 41, 2)
+    ]
+    want = [canonical_start(A, B, C) for A, B, C in box]
+    for (A, B, C), w in zip(box, want):
+        q = HalfIntQuadratic(A, B, C)
+        assert w is (q.eval(-1) <= 0 or q.eval(-1) > q.eval(0)), (A, B, C)
+        assert (canonical_shift(q) == q) is w, (A, B, C)
+    A, B, C = (np.array(col) for col in zip(*box))
+    assert canonical_start(A, B, C).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
 class TestFamilyEnumeration:
     def test_family_residue_matches_scan(self):
         for d in range(2, 41):
@@ -351,7 +374,7 @@ class TestSystems:
         q = canonical_shift(HalfIntQuadratic(18, 42, 16))
         members = tuple(q.eval(x) for x in range(8))
         arm = Arm(poly=q, divisor=2, members=members, rotation=Rotation.POSITIVE)
-        (system,) = group_into_systems([arm], table, 12.0)
+        (system,) = group_into_systems([arm], table)
         assert system.label == "P1"
         assert system.arms == (arm,)
         assert system.anchor_angle == arm.angle_at_radius(math.sqrt(members[-1]), table)
@@ -411,7 +434,7 @@ class TestSymmetry:
 
     def test_axis_symmetry_d13(self, table, reports):
         neg = [s for s in reports[13].systems if s.rotation.value == "negative"]
-        result = axis_symmetry(neg[0], neg[1], table, 8.0)
+        result = axis_symmetry(neg[0], neg[1], table)
         assert result.symmetric
         x1, y1 = table.vertex(116)
         x2, y2 = table.vertex(152)
@@ -421,7 +444,7 @@ class TestSymmetry:
 
     def test_axis_symmetry_self(self, table, reports):
         system = reports[13].systems[0]
-        result = axis_symmetry(system, system, table, 8.0)
+        result = axis_symmetry(system, system, table)
         assert result.symmetric
 
     def test_axis_symmetry_within_family_rungs(self, table, reports):
@@ -429,12 +452,12 @@ class TestSymmetry:
         # same-direction systems also register as axis-symmetric; the
         # informative quantity is the fitted axis angle itself.
         neg = [s for s in reports[2].systems if s.rotation.value == "negative"][:2]
-        result = axis_symmetry(neg[0], neg[1], table, 8.0)
+        result = axis_symmetry(neg[0], neg[1], table)
         assert result.max_error_deg < 8.0
 
     def test_axis_symmetry_rejects_mixed_divisors(self, table, reports):
         with pytest.raises(ValueError):
-            axis_symmetry(reports[2].systems[0], reports[3].systems[0], table, 8.0)
+            axis_symmetry(reports[2].systems[0], reports[3].systems[0], table)
 
 
 class TestSquareArms:

@@ -17,6 +17,11 @@ when it is odd. A side whose
 `bench/run.py` exits non-zero is recorded with its exit code and stderr,
 and the pairs go on.
 
+A run's time can depend on the name of the directory it runs from, so
+the two directories (`DIRS`) swap names between pairs as `placement`
+sets out: each side runs from each name in half the pairs, and each run
+record names its directory.
+
 The output JSON holds every result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs in which
 the working tree was better (ties count for neither side).
@@ -36,6 +41,17 @@ from pathlib import Path
 
 SIDES = ("base", "change")
 PAIRS = 10  # a claimed gain must win at least nine of ten pairs
+DIRS = ("a", "b")  # the two sides' directory names, swapped between pairs
+
+
+def placement(pair: int) -> tuple[str, str]:
+    """The directory names of (base, change) in pair `pair`.
+
+    They swap after pairs 0, 2, 4, ...: (a, b), (b, a), (b, a), (a, b), (a, b), ...
+    So over ten pairs each side runs from each name five times, and each
+    name holds the side that runs first in as even a share as ten allows.
+    """
+    return DIRS if (pair + 1) // 2 % 2 == 0 else DIRS[::-1]
 
 
 def export_commit(root: Path, rev: str, dest: Path) -> str:
@@ -68,6 +84,27 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     return json.loads(lines[-1])
+
+
+def run_pairs(tmp: Path, workloads: list[str], seed: int, seconds: float) -> list[dict]:
+    """Run `PAIRS` alternating pairs; the base starts in `tmp/a`, the change in `tmp/b`."""
+    at = dict(zip(SIDES, DIRS))
+    runs = []
+    for pair in range(PAIRS):
+        want = dict(zip(SIDES, placement(pair)))
+        if want != at:  # swap the two directories' names
+            (tmp / DIRS[0]).rename(tmp / "swap")
+            (tmp / DIRS[1]).rename(tmp / DIRS[0])
+            (tmp / "swap").rename(tmp / DIRS[1])
+            at = want
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                result = run_bench(tmp / at[side], workload, seed, seconds)
+                runs.append({"workload": workload, "pair": pair, "side": side, "dir": at[side],
+                             "result": result})
+                print(json.dumps(runs[-1]), flush=True)
+    return runs
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -117,20 +154,10 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True,
                           capture_output=True, text=True).stdout.strip()
-    runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        base_root = Path(tmp) / "base"
-        base_sha = export_commit(root, args.base, base_root)
-        change_root = Path(tmp) / "change"
-        copy_working_tree(root, change_root)
-        checkouts = {"base": base_root, "change": change_root}
-        for pair in range(PAIRS):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for workload in workloads:
-                for side in order:
-                    result = run_bench(checkouts[side], workload, args.seed, seconds)
-                    runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
-                    print(json.dumps(runs[-1]), flush=True)
+        base_sha = export_commit(root, args.base, Path(tmp) / DIRS[0])
+        copy_working_tree(root, Path(tmp) / DIRS[1])
+        runs = run_pairs(Path(tmp), workloads, args.seed, seconds)
     report = {
         "base": base_sha,
         "change": f"working tree at {head}, copied to a fresh directory",
