@@ -28,10 +28,10 @@ EXIT_USAGE = 2
 
 
 @contextmanager
-def _atomic_open(path: Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
-    """Open a hidden temporary file in the target directory for writing.
+def _atomic_open(path: Path) -> Iterator[IO[bytes]]:
+    """Open a hidden temporary file in the target directory for writing bytes.
 
-    The handle is `open(fd, mode, **kwargs)`. When the block ends normally
+    The handle is `open(fd, "wb")`. When the block ends normally
     the file is closed and renamed over `path`; on any exception it is
     removed and `path` is left as it was. The temporary file is created with
     mode 0666 less the process umask, so the renamed file gets the same mode
@@ -41,7 +41,7 @@ def _atomic_open(path: Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with open(fd, mode, **kwargs) as handle:
+        with open(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -74,7 +74,7 @@ def _out_path(cfg: Config, out: str | None, default_name: str) -> Path:
 
 def _cmd_spiral(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     path = _out_path(cfg, args.out, f"spiral_{cfg.n_max}.csv")
-    with _atomic_open(path, "w", encoding="utf-8", newline="") as handle:
+    with _atomic_open(path) as handle:
         table.write_csv(handle, cfg.n_max)
     print(f"wrote {path} ({cfg.n_max} points)")
     return EXIT_OK

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,6 +17,28 @@ from typing import Any
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ROOTSPIRAL_OUT"
+
+
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool: a bool is an int to Python, not a count here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: Any) -> bool:
+    """An int that is not a bool, or a float, finite as a double."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int past the largest double
+        return False
+
+
+#: By a field's annotation: the name of its values in an error, and their test.
+_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_finite_number),
+    "bool": ("true or false", lambda value: isinstance(value, bool)),
+    "str": ("a string", lambda value: isinstance(value, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -50,12 +73,21 @@ class Config:
     early_drift_hi: int = field(default=7, init=False)  #  exclusive hi) splitting equal-A families
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            kind, admits = _TYPES[f.type]
+            value = getattr(self, f.name)
+            if f.init and not admits(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.n_max < 100:
             raise ValueError("n_max must be at least 100")
         if self.angular_tol_rad <= 0:
             raise ValueError("angular_tol_rad must be positive")
         if self.min_chain_len < 4:
             raise ValueError("min_chain_len must be at least 4")
+        if self.centre_cap < 1:
+            raise ValueError("centre_cap must be at least 1")
+        if self.run_start_max < 0:
+            raise ValueError("run_start_max must be at least 0")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "Config":

@@ -273,9 +273,9 @@ def enumerate_family_arms(
     canonical = canonical_start(A, B, C)  # otherwise the arm starts further in
     B, C = B[canonical].astype(np.int64), C[canonical].astype(np.int64)
 
-    # Clamped into the grid: below step 0 the grid keeps no row, and past
-    # step width - 2 the step never lies inside an arm, so neither rejects.
-    s = np.array([0, 1]) + min(max(config.run_start_max, 0), width - 2)
+    # Clamped into the grid (Config keeps run_start_max >= 0): past step
+    # width - 2 the step never lies inside an arm, so it rejects nothing.
+    s = np.array([0, 1]) + min(config.run_start_max, width - 2)
     v = (A * s * s + B[:, None] * s + C[:, None]) // 2
     th = theta[np.minimum(v, config.n_max)]
     fails = ~(np.abs(th[:, 1] - th[:, 0] - TWO_PI - target) <= config.angular_tol_rad)

@@ -32,7 +32,8 @@ _BLOCK = 4096
 _GROW_TERMS = 1 << 16
 
 #: Rows formatted per write by SpiralTable.write_csv. Bounds its temporaries:
-#: a chunk's byte matrix is ~112 bytes a row, ~0.45 MB at 2**12 rows.
+#: a chunk's byte matrix is ~110 bytes a row, ~0.45 MB at 2**12 rows, and
+#: each array over its four float columns takes 128 KB.
 _CSV_ROWS = 1 << 12
 
 
@@ -224,18 +225,20 @@ class SpiralTable:
         self._check(n_terms)
         return float(self._theta[n_terms]) - 2.0 * math.sqrt(n_terms)
 
-    def write_csv(self, stream: IO[str], n_max: int) -> None:
+    def write_csv(self, stream: IO[bytes], n_max: int) -> None:
         """Bulk export: n, radius, theta_rad, winding, x, y at 18 significant digits.
 
-        Rows 1 .. n_max go out in chunks of _CSV_ROWS, one write per chunk. Each value is
-        the one point(n) gives; x and y come from vertices. The text is that of
-        "%.17e" byte for byte: csvformat.csv_text formats it in numpy with
-        exact rounding, and hands the rare value it cannot print exactly
-        (zero, non-finite, out of range, or within 2**-30 of a rounding tie)
-        to the "%.17e" row formatter, one row at a time.
+        `stream` is a binary stream: it is handed only bytes, ASCII text. Rows
+        1 .. n_max go out in chunks of _CSV_ROWS, one write per chunk, after
+        one write of the header. Each value is the one point(n) gives; x and
+        y come from vertices. The text is that of "%.17e" byte for byte:
+        csvformat.csv_text formats it in numpy with exact rounding, and hands
+        the rare value it cannot print exactly (zero, non-finite, out of
+        range, or within 2**-30 of a rounding tie) to the "%.17e" row
+        formatter, one row at a time.
         """
         self._check(n_max)
-        stream.write("n,radius,theta_rad,winding,x,y\n")
+        stream.write(b"n,radius,theta_rad,winding,x,y\n")
         for lo in range(1, n_max + 1, _CSV_ROWS):
             hi = min(lo + _CSV_ROWS, n_max + 1)
             theta = self._theta[lo:hi]

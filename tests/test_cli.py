@@ -237,8 +237,24 @@ FIXED_FIELDS = (
         ({"angular_tol_rad": 0}, "angular_tol_rad must be positive"),
         ({"min_chain_len": 3}, "min_chain_len must be at least 4"),
         ({"n_max": 99}, "n_max must be at least 100"),
+        ({"centre_cap": 0}, "centre_cap must be at least 1"),
+        ({"run_start_max": -1}, "run_start_max must be at least 0"),
+        # one value of the wrong type per settable field
+        ({"n_max": "5000"}, "n_max must be an integer, got '5000'"),
+        ({"angular_tol_rad": "0.35"}, "angular_tol_rad must be a finite number, got '0.35'"),
+        ({"angular_tol_rad": True}, "angular_tol_rad must be a finite number, got True"),
+        ({"angular_tol_rad": float("nan")}, "angular_tol_rad must be a finite number, got nan"),
+        ({"angular_tol_rad": 10**400}, "angular_tol_rad must be a finite number, got 1000"),
+        ({"min_chain_len": 5.5}, "min_chain_len must be an integer, got 5.5"),
+        ({"mirror": "no"}, "mirror must be true or false, got 'no'"),
+        ({"output_dir": 7}, "output_dir must be a string, got 7"),
+        ({"centre_cap": "54"}, "centre_cap must be an integer, got '54'"),
+        ({"run_start_max": True}, "run_start_max must be an integer, got True"),
     ],
-    ids=[*FIXED_FIELDS, "angular_tol_rad=0", "min_chain_len=3", "n_max=99"],
+    ids=[*FIXED_FIELDS, "angular_tol_rad=0", "min_chain_len=3", "n_max=99", "centre_cap=0",
+         "run_start_max=-1", "n_max=str", "angular_tol_rad=str", "angular_tol_rad=bool",
+         "angular_tol_rad=nan", "angular_tol_rad=huge", "min_chain_len=float", "mirror=str",
+         "output_dir=int", "centre_cap=str", "run_start_max=bool"],
 )
 def test_config_file_rejects(tmp_path, capsys, data, error):
     cfg = tmp_path / "cfg.json"

@@ -17,7 +17,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from rootspiral.csvformat import _CSV_ROW, _float_cells, _text, csv_text
+from rootspiral.csvformat import (
+    _CSV_ROW,
+    _DIGITS4,
+    _EXPONENT,
+    _HEAD,
+    _float_cells,
+    _text,
+    csv_text,
+)
 from rootspiral.errors import RangeExhausted
 from rootspiral.spiral import (
     _BLOCK,
@@ -282,9 +290,9 @@ def test_shared_table_is_cached():
 
 def test_csv_export():
     t = SpiralTable(500)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     t.write_csv(buf, 10)
-    lines = buf.getvalue().strip().split("\n")
+    lines = buf.getvalue().decode("ascii").strip().split("\n")
     assert lines[0] == "n,radius,theta_rad,winding,x,y"
     assert len(lines) == 11
     fields = lines[2].split(",")
@@ -296,18 +304,18 @@ def test_csv_export():
 
 
 def _write_csv_oracle(table, stream, n_max):
-    """The row-at-a-time CSV export, one point() per row."""
-    stream.write("n,radius,theta_rad,winding,x,y\n")
+    """The row-at-a-time CSV export, one point() per row, encoded."""
+    stream.write(b"n,radius,theta_rad,winding,x,y\n")
     for n in range(1, n_max + 1):
         p = table.point(n)
         stream.write(
             f"{p.n},{p.radius:.17e},{p.theta:.17e},{p.winding},"
-            f"{p.vertex[0]:.17e},{p.vertex[1]:.17e}\n"
+            f"{p.vertex[0]:.17e},{p.vertex[1]:.17e}\n".encode("ascii")
         )
 
 
 def _csv(write, table, n_max):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write(table, buf, n_max)
     return buf.getvalue()
 
@@ -345,15 +353,17 @@ class TestChunkedCsv:
         writes = []
 
         class Recorder:
-            def write(self, text):
-                writes.append(text)
+            def write(self, data):
+                writes.append(data)
 
         exact.write_csv(Recorder(), 3 * _CSV_ROWS + 7)
-        assert [w.count("\n") for w in writes] == [1, _CSV_ROWS, _CSV_ROWS, _CSV_ROWS, 7]
+        assert [w.count(b"\n") for w in writes] == [1, _CSV_ROWS, _CSV_ROWS, _CSV_ROWS, 7]
+        # bytes and nothing else: a binary stream takes them as they are
+        assert {type(w) for w in writes} == {bytes}
 
     def test_limit_past_table_end(self, exact):
         with pytest.raises(RangeExhausted):
-            exact.write_csv(io.StringIO(), exact.n_max + 1)
+            exact.write_csv(io.BytesIO(), exact.n_max + 1)
 
 
 def _formatted(values):
@@ -402,6 +412,19 @@ def _near_ties(exponents, offsets):
 
 class TestCsvFormatter:
     """_float_cells and csv_text print what "%.17e" and _CSV_ROW print."""
+
+    def test_word_tables_decode_to_their_text(self):
+        def words(table):
+            data = table.tobytes()
+            return [data[i:i + 4] for i in range(0, len(data), 4)]
+
+        assert words(_DIGITS4) == [f"{i:04d}".encode() for i in range(10_000)]
+        head = words(_HEAD)
+        for top in range(10, 100):
+            digits = f"{top // 10}.{top % 10}".encode()
+            assert (head[top], head[128 + top]) == (b"\0" + digits, b"-" + digits)
+        exponent = words(_EXPONENT)
+        assert [exponent[k + 128] for k in range(-99, 100)] == [b"e%+03d" % k for k in range(-99, 100)]
 
     def test_every_value_of_a_300000_row_export(self):
         t = SpiralTable(300_000)
@@ -465,7 +488,7 @@ class TestCsvFormatter:
         floats[1][[0, 7, 19]] = 0.0, math.inf, math.nan
         columns = (n, floats[0], floats[1], winding, floats[2], floats[3])
         expected = "".join(map(_CSV_ROW, zip(*(c.tolist() for c in columns))))
-        assert csv_text(*columns) == expected
+        assert csv_text(*columns) == expected.encode("ascii")
 
 
 def _theta_oracle(n):

@@ -22,6 +22,13 @@ the two directories (`DIRS`) swap names between pairs as `placement`
 sets out: each side runs from each name in half the pairs, and each run
 record names its directory.
 
+Each run record also holds, from getrusage(RUSAGE_CHILDREN) read before
+and after the run, the minor page faults of the run's process tree
+(`bench/run.py`, its set-up probes and its worker) and `max_rss_mb`, the
+largest resident set of any process reaped so far. getrusage keeps one
+high-water mark for all children, so `max_rss_mb` is the run's own only
+where it rises; the faults are the run's own.
+
 The output JSON holds every result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs in which
 the working tree was better (ties count for neither side).
@@ -32,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -100,9 +108,12 @@ def run_pairs(tmp: Path, workloads: list[str], seed: int, seconds: float) -> lis
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
+                before = resource.getrusage(resource.RUSAGE_CHILDREN)
                 result = run_bench(tmp / at[side], workload, seed, seconds)
+                after = resource.getrusage(resource.RUSAGE_CHILDREN)
                 runs.append({"workload": workload, "pair": pair, "side": side, "dir": at[side],
-                             "result": result})
+                             "result": result, "minor_faults": after.ru_minflt - before.ru_minflt,
+                             "max_rss_mb": after.ru_maxrss / 1024})
                 print(json.dumps(runs[-1]), flush=True)
     return runs
 
