@@ -54,7 +54,6 @@ class Config:
     n_max: int = 20000
     angular_tol_rad: float = 0.35  # 0.25 loses d = 17 N1 (see the margins below)
     min_chain_len: int = 5
-    gap_deg: float = field(default=12.0, init=False)
     pair_tol_deg: float = field(default=8.0, init=False)
     pair_claim_tol_deg: float = field(default=12.0, init=False)  # pairings judged by eye
     drift_epsilon_rad: float = field(default=0.005, init=False)

@@ -9,9 +9,9 @@ residue class per family (quadratics.family_residue).
 Discovery enumerates canonical near-centre arms of the relevant families,
 validates each arm geometrically (its per-step angular drift must settle
 onto the family asymptote 2*sqrt(A/2) - 2*pi early), assigns a rotation
-direction, and groups arms into systems by their asymptotic phase
-(B mod 2A) / sqrt(2A) -- arms that differ by whole wraps B -> B + 2A or
-by the C-ladder step C -> C + 2d belong to one system.
+direction, and groups the arms of each direction into systems by their
+residue class (A, B mod 2A): arms that differ by whole wraps B -> B + 2A
+or by the C-ladder step C -> C + 2d belong to one system.
 
 Direction convention (calibrated): an arm whose angular drift is negative
 in the canonical counterclockwise orientation curls clockwise relative to
@@ -92,20 +92,10 @@ class Arm:
         q = self.poly
         return q.C / 2.0 - q.B * q.B / (8.0 * q.A)
 
-    @property
-    def phase(self) -> float:
-        """Asymptotic angular phase of the arm's system, in [0, 2*pi).
-
-        Two arms of one family whose doubled linear coefficients agree
-        mod 2A stay within a bounded angular band of each other forever;
-        this canonical representative angle is what systems cluster on.
-        """
-        return ((self.poly.B % (2 * self.poly.A)) / math.sqrt(2 * self.poly.A)) % TWO_PI
-
 
 @dataclass(frozen=True)
 class ArmSystem:
-    """A group of arms sharing rotation direction and angular band."""
+    """The arms of one rotation direction and one residue class (A, B mod 2A)."""
 
     label: str
     rotation: Rotation
@@ -346,31 +336,6 @@ def _circ_diff(a: float, b: float) -> float:
     return (a - b + math.pi) % TWO_PI - math.pi
 
 
-def _circular_clusters(angles: Sequence[float], gap_rad: float) -> list[list[int]]:
-    """Single-linkage clustering on the circle: split at gaps > gap_rad.
-
-    The sorted order is rotated to start just past the last gap and cut
-    after each gap, so the cluster that wraps past 2*pi comes first.
-    """
-    order = sorted(range(len(angles)), key=lambda i: angles[i])
-    k = len(order)
-    gaps = [
-        i for i in range(k) if (angles[order[(i + 1) % k]] - angles[order[i]]) % TWO_PI > gap_rad
-    ]
-    if not gaps:
-        return [order] if order else []
-    start = gaps[-1] + 1
-    order = order[start:] + order[:start]
-    ends = [(g - start) % k + 1 for g in gaps]
-    return [order[lo:hi] for lo, hi in zip([0, *ends], ends)]
-
-
-def _circular_mean(angles: Sequence[float]) -> float:
-    s = sum(math.sin(a) for a in angles)
-    c = sum(math.cos(a) for a in angles)
-    return math.atan2(s, c) % TWO_PI
-
-
 def _core_arm(arms: Sequence[Arm]) -> Arm:
     """The arm hugging the family asymptote most closely: smallest
     |vertex value|, ties broken by the smaller constant term."""
@@ -383,28 +348,27 @@ def reference_radius(arms: Sequence[Arm]) -> float:
 
 
 def group_into_systems(arms: Sequence[Arm], table: SpiralTable) -> list[ArmSystem]:
-    """Partition arms by rotation, then cluster asymptotic phases.
+    """Partition arms by rotation, then by residue class (A, B mod 2A).
 
-    Within one direction, arms whose phase angles (B mod 2A scaled to the
-    circle) fall within Config.gap_deg of each other under single linkage
-    form one system. Systems are labeled P1..Pk / N1..Nk ordered by anchor
-    angle from the positive x-axis; the anchor is the angle where the
-    system's core arm (_core_arm) crosses the group's reference circle.
+    Within one direction, the arms of one class differ by whole wraps
+    B -> B + 2A and by their constant terms, and form one system, its arms
+    in polynomial order. Systems are labeled P1..Pk / N1..Nk ordered by
+    anchor angle from the positive x-axis; the anchor is the angle where
+    the system's core arm (_core_arm) crosses the group's reference circle.
     """
-    gap_rad = math.radians(Config.gap_deg)
     systems: list[ArmSystem] = []
     for rot, prefix in ((Rotation.POSITIVE, "P"), (Rotation.NEGATIVE, "N")):
         group = [a for a in arms if a.rotation is rot]
         if not group:
             continue
         r_ref = reference_radius(group)
-        clusters = _circular_clusters([a.phase for a in group], gap_rad)
-        built = []
-        for idx in clusters:
-            members = tuple(sorted((group[i] for i in idx), key=lambda a: a.poly))
-            anchor = _core_arm(members).angle_at_radius(r_ref, table)
-            built.append((anchor, members))
-        built.sort(key=lambda t: t[0])
+        classes: dict[tuple[int, int], list[Arm]] = {}
+        for arm in sorted(group, key=lambda a: a.poly):
+            classes.setdefault((arm.poly.A, arm.poly.B % (2 * arm.poly.A)), []).append(arm)
+        built = sorted(
+            ((_core_arm(c).angle_at_radius(r_ref, table), tuple(c)) for c in classes.values()),
+            key=lambda t: t[0],
+        )
         for i, (anchor, members) in enumerate(built, start=1):
             systems.append(
                 ArmSystem(
@@ -477,8 +441,9 @@ def axis_symmetry(sys_a: ArmSystem, sys_b: ArmSystem, table: SpiralTable) -> Axi
         return band or [_core_arm(system.arms)]
 
     anchor_a, anchor_b = (_core_arm(s.arms).angle_at_radius(r_ref, table) for s in (sys_a, sys_b))
-    # bisectors live mod pi; averaging happens on the doubled circle
-    axis = 0.5 * _circular_mean([anchor_a + anchor_b])
+    # bisectors live mod pi: halve the doubled angle folded into [0, 2*pi)
+    s = anchor_a + anchor_b
+    axis = 0.5 * (math.atan2(math.sin(s), math.cos(s)) % TWO_PI)
     worst = 0.0
     for one, other in ((sys_a, sys_b), (sys_b, sys_a)):
         targets = [b.angle_at_radius(r_ref, table) for b in other.arms]

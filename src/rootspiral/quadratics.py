@@ -51,18 +51,6 @@ class HalfIntQuadratic:
                 f"(A={self.A}, B={self.B}, C={self.C}) does not take integer values on the integers"
             )
 
-    @classmethod
-    def from_coeffs(cls, a, b, c) -> "HalfIntQuadratic":
-        """Build from ordinary coefficients a*x^2 + b*x + c (halves allowed)."""
-        doubled = []
-        for v in (a, b, c):
-            fv = Fraction(v).limit_denominator(10**9) if isinstance(v, float) else Fraction(v)
-            dv = 2 * fv
-            if dv.denominator != 1:
-                raise NotHalfInteger(f"coefficient {v} is not a half-integer")
-            doubled.append(int(dv))
-        return cls(*doubled)
-
     def eval(self, x: int) -> int:
         num = self.A * x * x + self.B * x + self.C
         return num // 2

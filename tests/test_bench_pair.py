@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import resource
-import subprocess
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,7 +26,7 @@ def test_each_side_runs_from_each_directory_in_half_the_pairs(tmp_path, monkeypa
 
     def fake_run_bench(checkout, workload, seed, seconds):
         seen.append((checkout.name, (checkout / "SIDE").read_text()))
-        return {"metrics": {}}
+        return {"metrics": {}}, SimpleNamespace(ru_minflt=0, ru_maxrss=0)
 
     monkeypatch.setattr(bench_pair, "run_bench", fake_run_bench)
     runs = bench_pair.run_pairs(tmp_path, ["w1", "w2"], seed=1, seconds=1.0)
@@ -46,32 +44,38 @@ def test_each_side_runs_from_each_directory_in_half_the_pairs(tmp_path, monkeypa
 def test_each_run_records_its_process_tree_usage(tmp_path, monkeypatch):
     for name in bench_pair.DIRS:
         (tmp_path / name).mkdir()
-    children = SimpleNamespace(ru_minflt=0, ru_maxrss=0)  # RUSAGE_CHILDREN so far
     peaks_kb = [41_000, 40_000, 152_000, 43_000]
-    ran = []  # the directory of each run, in order
+    ran = []  # the directory of each run, in order; a run's pid is its number
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 0.1}}})
 
-    def fake_run(cmd, cwd, capture_output, text):
-        """One bench/run.py: its tree faults 1000 times its number and peaks at peaks_kb."""
-        i = len(ran)
-        ran.append(Path(cwd).name)
-        children.ru_minflt += 1000 * (i + 1)
-        children.ru_maxrss = max(children.ru_maxrss, peaks_kb[i % len(peaks_kb)])
-        line = json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 0.1}}})
-        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+    class FakePopen:
+        """One bench/run.py: it prints its result line; the third run fails instead."""
 
-    def fake_getrusage(who):
-        assert who == resource.RUSAGE_CHILDREN
-        return SimpleNamespace(**vars(children))
+        def __init__(self, cmd, cwd, stdout, stderr):
+            ran.append(Path(cwd).name)
+            self.pid, self.returncode = len(ran), None
+            if self.pid == 3:
+                stderr.write(b"boom\n")
+            else:
+                stdout.write(line.encode() + b"\n")
 
-    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_pair.resource, "getrusage", fake_getrusage)
+    def fake_wait4(pid, options):
+        """Reap run `pid`: its tree faults 1000 times its number and peaks at peaks_kb."""
+        assert (pid, options) == (len(ran), 0)
+        usage = SimpleNamespace(ru_minflt=1000 * pid, ru_maxrss=peaks_kb[(pid - 1) % len(peaks_kb)])
+        return pid, (2 << 8 if pid == 3 else 0), usage  # the third exits with status 2
+
+    monkeypatch.setattr(bench_pair.subprocess, "Popen", FakePopen)
+    monkeypatch.setattr(bench_pair.os, "wait4", fake_wait4)
     runs = bench_pair.run_pairs(tmp_path, ["w"], seed=1, seconds=1.0)
     assert [r["dir"] for r in runs] == ran and len(runs) == 2 * bench_pair.PAIRS
     assert [r["minor_faults"] for r in runs] == [1000 * (i + 1) for i in range(len(runs))]
-    # one high-water mark for all children: a run below an earlier peak reads that peak
-    high = [max(peaks_kb[j % len(peaks_kb)] for j in range(i + 1)) / 1024 for i in range(len(runs))]
-    assert [r["max_rss_mb"] for r in runs] == high
-    assert all(r["result"]["metrics"]["wall_s"]["value"] == 0.1 for r in runs)
+    # each run reads its own peak, also one below an earlier run's
+    assert [r["max_rss_mb"] for r in runs] == [
+        peaks_kb[i % len(peaks_kb)] / 1024 for i in range(len(runs))
+    ]
+    assert runs[2]["result"] == {"returncode": 2, "stderr": "boom\n"}
+    assert all(r["result"]["metrics"]["wall_s"]["value"] == 0.1 for r in runs[:2] + runs[3:])
 
 
 def _runs(pairs):

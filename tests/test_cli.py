@@ -223,7 +223,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 FIXED_FIELDS = (
-    "gap_deg", "pair_tol_deg", "pair_claim_tol_deg", "drift_epsilon_rad",
+    "pair_tol_deg", "pair_claim_tol_deg", "drift_epsilon_rad",
     "b_hard_max", "early_drift_lo", "early_drift_hi",
 )
 
@@ -267,7 +267,7 @@ def test_config_file_rejects(tmp_path, capsys, data, error):
 
 
 def test_config_settable_fields():
-    """Only the run settings and the calibration are settable; all 14 are reported."""
+    """Only the run settings and the calibration are settable; all 13 are reported."""
     settable = [f.name for f in dataclasses.fields(Config) if f.init]
     assert settable == [
         "n_max", "angular_tol_rad", "min_chain_len", "mirror", "output_dir",

@@ -379,6 +379,31 @@ class TestSystems:
         assert system.arms == (arm,)
         assert system.anchor_angle == arm.angle_at_radius(math.sqrt(members[-1]), table)
 
+    def test_residue_classes_are_far_apart_in_phase(self):
+        """Grouping by residue class reproduces the goldens' phase clustering.
+
+        The goldens were made by single-linkage clustering, per direction, of
+        the asymptotic phases (B mod 2A) / sqrt(2A) mod 2*pi at a 12-degree
+        gap. A phase is a function of the class (A, B mod 2A), and each
+        direction takes its arms from one family. For d < 20, every class of
+        every family of families_for(d), whether or not it holds an arm, lies
+        more than 12 degrees from the other classes of its family. The
+        closest two are 33.87 degrees apart (d = 2, A = 20). So the
+        clustering never joined two classes. For d >= 20 the one family
+        A = d has the single class B = d (mod 2d).
+        """
+        gaps = []
+        for d in range(2, 20):
+            for A in set(families_for(d).values()):
+                br, _ = family_residue(A, d)
+                phases = [(b / math.sqrt(2 * A)) % TWO_PI for b in range(br, 2 * A, 2 * d)]
+                gaps += [abs(_circ_diff(p, q)) for i, p in enumerate(phases) for q in phases[:i]]
+        assert math.degrees(min(gaps)) > 12.0
+        assert round(math.degrees(min(gaps)), 2) == 33.87
+        for d in range(20, 201):
+            assert set(families_for(d).values()) == {d}
+            assert family_residue(d, d) == (d, 0)  # and 2A = 2d: B mod 2A is d
+
     def test_labels_unique_and_ordered(self, reports):
         for rep in reports.values():
             labels = [s.label for s in rep.systems]
@@ -502,6 +527,13 @@ class TestVerify:
             rep = discover(d, table=table)
             assert rep.divisor == d
             assert sum(rep.counts.values()) == len(rep.systems)
+            # one residue class (A, B mod 2A) per system, and a class in one system per direction
+            classes = [
+                (s.rotation, {(a.poly.A, a.poly.B % (2 * a.poly.A)) for a in s.arms})
+                for s in rep.systems
+            ]
+            assert all(len(c) == 1 for _, c in classes), d
+            assert len({(rot, *c) for rot, c in classes}) == len(classes), d
             for s in rep.systems:
                 assert s.label[0] == ("P" if s.rotation is Rotation.POSITIVE else "N")
                 assert all(n % d == 0 for arm in s.arms for n in arm.members), (d, s.label)

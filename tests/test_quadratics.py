@@ -32,6 +32,7 @@ class TestHalfIntQuadratic:
     def test_eval_examples(self):
         assert P1_D2.eval(0) == 8
         assert P1_D2.eval(1) == 38
+        assert str(P1_D2) == "9x^2 + 21x + 8"
         assert HalfIntQuadratic(21, 69, 48).eval(2) == 135  # 10.5x^2 + 34.5x + 24
 
     def test_eval_is_exact_for_huge_x(self):
@@ -49,12 +50,6 @@ class TestHalfIntQuadratic:
         with pytest.raises(Exception):
             HalfIntQuadratic(18, 42, 17)  # C odd
 
-    def test_from_coeffs_and_str(self):
-        q = HalfIntQuadratic.from_coeffs(10.5, 34.5, 24)
-        assert (q.A, q.B, q.C) == (21, 69, 48)
-        assert str(q) == "10.5x^2 + 34.5x + 24"
-        assert str(P1_D2) == "9x^2 + 21x + 8"
-
     @pytest.mark.parametrize(
         "coeffs, text",
         [
@@ -63,6 +58,7 @@ class TestHalfIntQuadratic:
             ((1, -2000001, 0), "0.5x^2 + -1000000.5x"),
             ((3, -1, -2), "1.5x^2 + -0.5x + -1"),
             ((2 * 10**20 + 1, 1, 2 * 10**20), "100000000000000000000.5x^2 + 0.5x + 100000000000000000000"),
+            ((21, 69, 48), "10.5x^2 + 34.5x + 24"),
         ],
     )
     def test_str_prints_every_coefficient_exactly(self, coeffs, text):

@@ -22,12 +22,11 @@ the two directories (`DIRS`) swap names between pairs as `placement`
 sets out: each side runs from each name in half the pairs, and each run
 record names its directory.
 
-Each run record also holds, from getrusage(RUSAGE_CHILDREN) read before
-and after the run, the minor page faults of the run's process tree
-(`bench/run.py`, its set-up probes and its worker) and `max_rss_mb`, the
-largest resident set of any process reaped so far. getrusage keeps one
-high-water mark for all children, so `max_rss_mb` is the run's own only
-where it rises; the faults are the run's own.
+Each run record also holds the minor page faults (`minor_faults`) and the
+peak resident set (`max_rss_mb`) of the run's process tree: `bench/run.py`,
+its set-up probes and its worker. Both come from the resource usage that
+os.wait4 returns as it reaps `bench/run.py`, which covers every process
+that the run itself reaped, so each record reads its own run's peak.
 
 The output JSON holds every result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs in which
@@ -39,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import shutil
 import statistics
 import subprocess
@@ -84,14 +82,20 @@ def copy_working_tree(root: Path, dest: Path) -> None:
             shutil.copy2(src, target)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, object]:
+    """Run one `bench/run.py`; return its result and its process tree's resource usage."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
-    return json.loads(lines[-1])
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        lines = out.read().decode().strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            return {"returncode": proc.returncode, "stderr": err.read().decode()[-2000:]}, usage
+    return json.loads(lines[-1]), usage
 
 
 def run_pairs(tmp: Path, workloads: list[str], seed: int, seconds: float) -> list[dict]:
@@ -108,12 +112,10 @@ def run_pairs(tmp: Path, workloads: list[str], seed: int, seconds: float) -> lis
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
-                before = resource.getrusage(resource.RUSAGE_CHILDREN)
-                result = run_bench(tmp / at[side], workload, seed, seconds)
-                after = resource.getrusage(resource.RUSAGE_CHILDREN)
+                result, usage = run_bench(tmp / at[side], workload, seed, seconds)
                 runs.append({"workload": workload, "pair": pair, "side": side, "dir": at[side],
-                             "result": result, "minor_faults": after.ru_minflt - before.ru_minflt,
-                             "max_rss_mb": after.ru_maxrss / 1024})
+                             "result": result, "minor_faults": usage.ru_minflt,
+                             "max_rss_mb": usage.ru_maxrss / 1024})
                 print(json.dumps(runs[-1]), flush=True)
     return runs
 
