@@ -19,7 +19,7 @@ from .claims import claimed_divisors, claims_for
 from .config import Config
 from .discovery import discover, verify_paper_table
 from .errors import RootSpiralError
-from .render import export_report, render_svg
+from .render import Canvas, export_report, render_svg
 from .spiral import SpiralTable, shared_table
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def _cmd_discover(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> 
 def _cmd_render(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     report = discover(args.divisor, table=table, config=cfg)
     path = _out_path(cfg, args.out, f"figure_d{args.divisor}.svg")
-    _atomic_write(path, render_svg(report, table, cfg.n_max, cfg.mirror))
+    _atomic_write(path, render_svg(report, Canvas(table, cfg.n_max, cfg.mirror)))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -129,12 +129,13 @@ def _cmd_render(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> in
 def _cmd_report(args: argparse.Namespace, cfg: Config, table: SpiralTable) -> int:
     out_dir = Path(args.out) if args.out else cfg.resolved_output_dir()
     divisors = claimed_divisors() if args.all else [args.divisor]
+    canvas = Canvas(table, cfg.n_max, cfg.mirror)
     status = EXIT_OK
     for d in divisors:
         report = discover(d, table=table, config=cfg)
         _atomic_write(out_dir / f"report_d{d}.json", export_report(report, "json"))
         _atomic_write(out_dir / f"report_d{d}.txt", export_report(report, "text"))
-        _atomic_write(out_dir / f"figure_d{d}.svg", render_svg(report, table, cfg.n_max, cfg.mirror))
+        _atomic_write(out_dir / f"figure_d{d}.svg", render_svg(report, canvas))
         if not report.all_matched:
             status = EXIT_MISMATCH
         print(f"divisor {d}: {'ok' if report.all_matched else 'MISMATCH'}")

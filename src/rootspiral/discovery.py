@@ -26,6 +26,7 @@ over the first few near-centre steps splits the arms.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -51,18 +52,15 @@ from .spiral import TWO_PI, SpiralTable, shared_table
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arm:
+class Arm(namedtuple("Arm", "poly divisor members rotation")):
     """A validated spiral-graph: polynomial, member numbers, rotation direction.
 
-    The members are the numbers f(0), f(1), ... up to n_max; their radii
-    and angles are read from the spiral table when needed.
+    A tuple (poly, divisor, members, rotation). The members are the numbers
+    f(0), f(1), ... up to n_max; their radii and angles are read from the
+    spiral table when needed.
     """
 
-    poly: HalfIntQuadratic
-    divisor: int
-    members: tuple[int, ...]
-    rotation: Rotation
+    __slots__ = ()
 
     def angle_at_radius(self, r_ref: float, table: SpiralTable) -> float:
         """Reduced angle where the arm crosses the circle of radius r_ref.
@@ -293,7 +291,8 @@ def enumerate_family_arms(
             & (count - start >= config.min_chain_len)
         )
         kept = zip(b[keep].tolist(), c[keep].tolist(), count[keep].tolist(), values[keep].tolist())
-        found.extend((HalfIntQuadratic(A, bi, ci), row[:k]) for bi, ci, k, row in kept)
+        # d | A, B = -A and C = 0 (mod 2d) make A + B and C even: valid records.
+        found.extend((HalfIntQuadratic._make((A, bi, ci)), row[:k]) for bi, ci, k, row in kept)
     return found
 
 
@@ -322,7 +321,7 @@ def discover_arms(
                 rot = rotation_of(q, early, table, epsilon=0.0, n_max=config.n_max)
             else:
                 rot = direction
-            arms.append(Arm(poly=q, divisor=d, members=tuple(numbers), rotation=rot))
+            arms.append(Arm(q, d, tuple(numbers), rot))
     return arms
 
 

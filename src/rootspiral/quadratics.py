@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import takewhile
 from typing import Iterable, Sequence
 
@@ -29,27 +31,29 @@ class Rotation(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
+@lru_cache(maxsize=4096)
 def _half_str(v: int, suffix: str = "") -> str:
     """v / 2 printed exactly: a whole number, or one with the decimal .5."""
     whole, odd = divmod(abs(v), 2)
     return ("-" if v < 0 else "") + str(whole) + (".5" if odd else "") + suffix
 
 
-@dataclass(frozen=True, order=True)
-class HalfIntQuadratic:
-    """f(x) = (A*x^2 + B*x + C) / 2 with integer-valued outputs."""
+class HalfIntQuadratic(namedtuple("HalfIntQuadratic", "A B C")):
+    """f(x) = (A*x^2 + B*x + C) / 2 with integer-valued outputs.
 
-    A: int
-    B: int
-    C: int
+    A tuple (A, B, C): records compare, sort and hash as that tuple.
+    `_make` builds one without the checks, for coefficients that are
+    valid by construction.
+    """
 
-    def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError(f"leading coefficient must be positive, got A={self.A}")
-        if (self.A + self.B) % 2 != 0 or self.C % 2 != 0:
-            raise ValueError(
-                f"(A={self.A}, B={self.B}, C={self.C}) does not take integer values on the integers"
-            )
+    __slots__ = ()
+
+    def __new__(cls, A: int, B: int, C: int):
+        if A <= 0:
+            raise ValueError(f"leading coefficient must be positive, got A={A}")
+        if (A + B) % 2 != 0 or C % 2 != 0:
+            raise ValueError(f"(A={A}, B={B}, C={C}) does not take integer values on the integers")
+        return super().__new__(cls, A, B, C)
 
     def eval(self, x: int) -> int:
         num = self.A * x * x + self.B * x + self.C

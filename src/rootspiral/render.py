@@ -1,8 +1,9 @@
 """Deterministic figure and report generation.
 
-A figure is a pure function of its report, n_max and mirror flag and the
-module's fixed figure constants: 4-decimal coordinate formatting, no
-timestamps, no randomness, so figures can be golden-tested byte for byte.
+A figure is a pure function of its report and its Canvas (the table,
+n_max and mirror flag) and the module's fixed figure constants: 4-decimal
+coordinate formatting, no timestamps, no randomness, so figures can be
+golden-tested byte for byte.
 Reports serialize a DivisorReport as sorted-key JSON or as a column-aligned
 ASCII table.
 """
@@ -55,52 +56,58 @@ _SVG_HEAD = (
 )
 
 
-def render_svg(report: DivisorReport, table: SpiralTable, n_max: int, mirror: bool = False) -> bytes:
-    """The report's figure as a standalone SVG 1.1 document (bytes).
+class Canvas:
+    """The part of a figure that does not depend on the divisor.
 
-    It draws rays 1..min(FIGURE_N_MAX, n_max) of the table, highlights the
-    multiples of the report's divisor and colours its systems in label
-    order from ARM_PALETTE; `mirror` flips the y axis.
+    It holds the coordinate strings of rays 1..n_max of the table, with
+    n_max capped at FIGURE_N_MAX, the spiral polyline and the three
+    square-reference polylines; `mirror` flips the y axis. One canvas is
+    built per command and drawn under each of its figures by render_svg.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    n_max = min(FIGURE_N_MAX, n_max)
-    if n_max > table.n_max:
-        raise RangeExhausted(f"figure needs n_max={n_max}, table holds {table.n_max}")
 
-    scale = (CANVAS / 2.0 - MARGIN) / math.sqrt(n_max)
-    centre = CANVAS / 2.0
-    y_sign = 1.0 if mirror else -1.0
+    def __init__(self, table: SpiralTable, n_max: int, mirror: bool = False):
+        if n_max < 2:
+            raise ValueError("n_max must be at least 2")
+        n_max = min(FIGURE_N_MAX, n_max)
+        if n_max > table.n_max:
+            raise RangeExhausted(f"figure needs n_max={n_max}, table holds {table.n_max}")
 
-    # Every point of the figure is a ray n <= n_max: format each ray once.
-    # px[n], py[n] and point[n] are the coordinates of ray n (index 0 unused).
-    _, x, y = table.vertices(1, n_max + 1)
-    coords = fixed4_strings(np.concatenate([centre + scale * x, centre + y_sign * scale * y]))
-    px, py = ["", *coords[:n_max]], ["", *coords[n_max:]]
-    point = list(map(",".join, zip(px, py)))
+        scale = (CANVAS / 2.0 - MARGIN) / math.sqrt(n_max)
+        centre = CANVAS / 2.0
+        y_sign = 1.0 if mirror else -1.0
 
-    def polyline(numbers, color: str, width: str) -> str:
-        pts = " ".join([point[n] for n in numbers])
+        # Every point of a figure is a ray n <= n_max: format each ray once.
+        # px[n], py[n] and point[n] are the coordinates of ray n (index 0 unused).
+        _, x, y = table.vertices(1, n_max + 1)
+        coords = fixed4_strings(np.concatenate([centre + scale * x, centre + y_sign * scale * y]))
+        self.n_max = n_max
+        self.px, self.py = ["", *coords[:n_max]], ["", *coords[n_max:]]
+        self.point = list(map(",".join, zip(self.px, self.py)))
+        self.spiral = self.polyline(range(1, n_max + 1), SPIRAL_COLOR, SPIRAL_STROKE)
+        self.squares = [
+            self.polyline(numbers, SQUARE_REFERENCE_COLOR, ARM_STROKE)
+            for numbers in square_members(n_max)
+            if len(numbers) >= 2
+        ]
+
+    def polyline(self, numbers, color: str, width: str) -> str:
+        pts = " ".join([self.point[n] for n in numbers])
         return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>'
 
-    parts: list[str] = [
-        _SVG_HEAD,
-        '<g id="spiral">',
-        polyline(range(1, n_max + 1), SPIRAL_COLOR, SPIRAL_STROKE),
-        "</g>",
-        '<g id="multiples">',
-    ]
+
+def render_svg(report: DivisorReport, canvas: Canvas) -> bytes:
+    """The report's figure on `canvas` as a standalone SVG 1.1 document (bytes).
+
+    It draws the canvas's rays, highlights the multiples of the report's
+    divisor and colours its systems in label order from ARM_PALETTE.
+    """
+    n_max, px, py = canvas.n_max, canvas.px, canvas.py
+    parts: list[str] = [_SVG_HEAD, '<g id="spiral">', canvas.spiral, "</g>", '<g id="multiples">']
     for n in range(report.divisor, n_max + 1, report.divisor):
         parts.append(
             f'<circle cx="{px[n]}" cy="{py[n]}" r="{POINT_RADIUS}" fill="{HIGHLIGHT_COLOR}"/>'
         )
-    parts.append("</g>")
-
-    parts.append('<g id="square-reference">')
-    for numbers in square_members(n_max):
-        if len(numbers) >= 2:
-            parts.append(polyline(numbers, SQUARE_REFERENCE_COLOR, ARM_STROKE))
-    parts.append("</g>")
+    parts += ["</g>", '<g id="square-reference">', *canvas.squares, "</g>"]
 
     for i, system in enumerate(report.systems):
         color = ARM_PALETTE[i % len(ARM_PALETTE)]
@@ -108,7 +115,7 @@ def render_svg(report: DivisorReport, table: SpiralTable, n_max: int, mirror: bo
         for arm in system.arms:
             numbers = arm.members[:bisect_right(arm.members, n_max)]  # members never descend
             if len(numbers) >= 2:
-                parts.append(polyline(numbers, color, ARM_STROKE))
+                parts.append(canvas.polyline(numbers, color, ARM_STROKE))
         anchor = system.arms[0].members[0] if system.arms else None
         if anchor is not None and anchor <= n_max:
             parts.append(
@@ -132,16 +139,21 @@ def _block(items: list[str], pad: str) -> str:
 
 #: Indents of an arm dict and of its keys in the JSON report.
 _ARM_PAD, _ARM_KEY_PAD = " " * 8, " " * 10
+#: One arm dict of the JSON report; its six keys are in sorted order. Its
+#: members list is never empty: an arm has at least min_chain_len >= 4 members.
+_ARM_JSON = (
+    f'{{\n{_ARM_KEY_PAD}"A": %s,\n{_ARM_KEY_PAD}"B": %s,\n{_ARM_KEY_PAD}"C": %s,\n'
+    f'{_ARM_KEY_PAD}"member_count": %s,\n{_ARM_KEY_PAD}"members": [\n{_ARM_KEY_PAD}  %s\n{_ARM_KEY_PAD}],\n'
+    f'{_ARM_KEY_PAD}"polynomial": %s\n{_ARM_PAD}}}'
+)
+_MEMBER_SEP = f",\n{_ARM_KEY_PAD}  "
 
 
 def _arm_json(arm: Arm) -> str:
-    """One arm dict of the JSON report; its six keys are in sorted order."""
-    q, k = arm.poly, _ARM_KEY_PAD
-    members = _block(list(map(int.__repr__, arm.members[:8])), k)
-    return (
-        f'{{\n{k}"A": {q.A},\n{k}"B": {q.B},\n{k}"C": {q.C},\n'
-        f'{k}"member_count": {len(arm.members)},\n{k}"members": {members},\n'
-        f'{k}"polynomial": {encode_basestring_ascii(str(q))}\n{_ARM_PAD}}}'
+    """One arm dict of the JSON report, through _ARM_JSON."""
+    q, members = arm.poly, arm.members
+    return _ARM_JSON % (
+        q.A, q.B, q.C, len(members), _MEMBER_SEP.join(map(str, members[:8])), encode_basestring_ascii(str(q))
     )
 
 

@@ -48,13 +48,14 @@ class SpiralPoint:
     vertex: tuple[float, float]
 
 
-def _angle_terms(lo: int, hi: int) -> np.ndarray:
-    """arctan(1/sqrt(k)) for k = lo .. hi-1."""
-    k = np.arange(lo, hi, dtype=np.float64)
-    return np.arctan(1.0 / np.sqrt(k))
+def _angle_terms(k: np.ndarray) -> np.ndarray:
+    """arctan(1/sqrt(k)) of each float64 k, computed in place: returns k overwritten."""
+    np.sqrt(k, out=k)
+    np.divide(1.0, k, out=k)
+    return np.arctan(k, out=k)
 
 
-def _block_sums(rows: np.ndarray) -> np.ndarray:
+def _block_sums(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Correctly rounded sum of each row, bit-equal to math.fsum(row).
 
     Each term t of a row is split exactly as t = h + l, with h = (t + c) - c
@@ -71,40 +72,49 @@ def _block_sums(rows: np.ndarray) -> np.ndarray:
     smallest terms differ by at most 29. Blocks of arctan(1/sqrt(k)) meet
     this with room to spare: the widest spread is block 1 (k = 1..4096),
     whose terms span a ratio of about 50 (6 bits).
+
+    The parts are held in `scratch`, an array of the shape of `rows`, or in
+    a new one when it is None.
     """
     _, e = np.frexp(rows.max(axis=1))
     c = np.ldexp(1.5, e + 11)[:, None]
-    part = rows + c
+    part = np.add(rows, c, out=scratch)
     part -= c  # the high parts h
     high = part.sum(axis=1)
     np.subtract(rows, part, out=part)  # the low parts l = t - h
     return high + part.sum(axis=1)
 
 
-def _compensated_prefix(terms: np.ndarray, out: np.ndarray, carry: tuple[float, float]) -> tuple[float, float]:
+def _compensated_prefix(
+    terms: np.ndarray, out: np.ndarray, carry: tuple[float, float], scratch: np.ndarray
+) -> tuple[float, float]:
     """Write running prefix sums of `terms` into `out`.
 
     Block-wise: the prefix inside a block comes from a plain cumsum (short,
-    so its rounding is negligible). Each whole block's exact sum, correctly
-    rounded by _block_sums, advances a Kahan-compensated (sum, correction)
-    pair that carries the running total. Only whole blocks advance the
-    returned carry, so only the last step of a build may end in a partial
-    block.
+    so its rounding is negligible), taken over all blocks at once as the
+    rows of one matrix. Each whole block's exact sum, correctly rounded by
+    _block_sums (its parts held in `scratch`, at least as long as `terms`),
+    advances a Kahan-compensated (sum, correction) pair that carries the
+    running total; each block is offset by the pair's sum before it. Only
+    whole blocks advance the returned carry, so only the last step of a
+    build may end in a partial block.
     """
     total, comp = carry
-    n = len(terms)
-    sums = _block_sums(terms[:n - n % _BLOCK].reshape(-1, _BLOCK)).tolist()
-    for i, start in enumerate(range(0, n, _BLOCK)):
-        block = terms[start:start + _BLOCK]
-        np.cumsum(block, out=out[start:start + len(block)])
-        out[start:start + len(block)] += total + comp
-        if len(block) < _BLOCK:
-            break
+    whole = len(terms) - len(terms) % _BLOCK
+    rows = terms[:whole].reshape(-1, _BLOCK)
+    offsets = []
+    for block_sum in _block_sums(rows, scratch[:whole].reshape(-1, _BLOCK)).tolist():
+        offsets.append(total + comp)
         # compensated update of the running block total
-        x = sums[i] + comp
+        x = block_sum + comp
         t = total + x
         comp = x - (t - total)
         total = t
+    prefix = out[:whole].reshape(-1, _BLOCK)
+    np.cumsum(rows, axis=1, out=prefix)
+    prefix += np.array(offsets)[:, None]
+    np.cumsum(terms[whole:], out=out[whole:])
+    out[whole:] += total + comp
     return total, comp
 
 
@@ -124,10 +134,16 @@ class SpiralTable:
         theta = np.empty(n_max + 1, dtype=np.float64)
         theta[0] = np.nan
         theta[1] = 0.0
+        # k = lo + steps. One term buffer and one split buffer serve every
+        # step, so no step allocates an array of its length.
+        size = min(_GROW_TERMS, n_max - 1)
+        steps = np.arange(size, dtype=np.float64)
+        terms, scratch = np.empty(size), np.empty(size)
         carry = (0.0, 0.0)
         for lo in range(1, n_max, _GROW_TERMS):
-            hi = min(lo + _GROW_TERMS, n_max)
-            carry = _compensated_prefix(_angle_terms(lo, hi), theta[lo + 1:hi + 1], carry)
+            m = min(_GROW_TERMS, n_max - lo)
+            k = np.add(steps[:m], lo, out=terms[:m])
+            carry = _compensated_prefix(_angle_terms(k), theta[lo + 1:lo + 1 + m], carry, scratch)
         self._theta = theta
         self._n_max = n_max
 

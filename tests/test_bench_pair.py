@@ -98,3 +98,91 @@ def test_summarize_counts_ties_for_neither_side(better):
     assert change["pairs"] == base["pairs"] == 6
     wins = {"lower": (2, 1), "higher": (1, 2)}[better]
     assert (change["change_better_pairs"], base["change_better_pairs"]) == wins
+
+
+def test_in_process_block_alternates_two_drivers(tmp_path, monkeypatch):
+    """One driver per side and workload, started in its side's root; passes alternate."""
+    roots = {side: tmp_path / name for side, name in zip(bench_pair.SIDES, bench_pair.DIRS)}
+    calls = []  # (workload, side) of each pass, in order
+    started, closed = [], []
+
+    class FakeDriver:
+        """The base takes 10 ms a pass and the change 8 ms, but 12 ms in its passes 3 and 7."""
+
+        def __init__(self, checkout, workload, seed):
+            self.side = next(s for s, root in roots.items() if root == checkout)
+            self.workload, self.passes = workload, 0
+            self.first_correct = not (workload == "w2" and self.side == "change")
+            started.append((workload, self.side, seed))
+
+        def run_pass(self):
+            calls.append((self.workload, self.side))
+            self.passes += 1
+            slow = self.side == "change" and self.passes in (3, 7)
+            wall = 0.010 if self.side == "base" else (0.012 if slow else 0.008)
+            return {"wall_s": wall, "correct": True}
+
+        def close(self):
+            closed.append((self.workload, self.side))
+
+    monkeypatch.setattr(bench_pair, "Driver", FakeDriver)
+    block = bench_pair.run_in_process(roots, ["w1", "w2"], seed=5)
+    assert started == [(w, s, 5) for w in ("w1", "w2") for s in bench_pair.SIDES]
+    assert sorted(closed) == sorted((w, s) for w, s, _ in started)
+    n = bench_pair.IN_PROCESS_PASSES
+    for w in ("w1", "w2"):
+        order = [side for workload, side in calls if workload == w]
+        assert len(order) == 2 * n
+        # the base runs first in even passes, the change in odd ones
+        assert [order[2 * i] for i in range(n)] == ["base" if i % 2 == 0 else "change" for i in range(n)]
+        rows = block[w]
+        assert rows["pairs"] == n and rows["change_better_passes"] == n - 2
+        assert rows["base"]["median"] == 0.010 and rows["change"]["median"] == 0.008
+        assert rows["wall_s"]["change"][2] == rows["wall_s"]["change"][6] == 0.012
+    # a warm-up pass that failed its full check marks its side incorrect
+    assert block["w1"]["correct"] == {"base": True, "change": True}
+    assert block["w2"]["correct"] == {"base": True, "change": False}
+
+
+def test_in_process_summary_skips_passes_that_raised():
+    """A pass that raised (wall_s None) counts for neither side."""
+    walls = {"base": [0.01, None, 0.01], "change": [0.02, 0.005, None]}
+    rows = bench_pair.summarize_in_process(walls, {"base": True, "change": False})
+    assert rows["pairs"] == 1 and rows["change_better_passes"] == 0
+    assert rows["base"]["median"] == 0.01 and rows["change"]["median"] == 0.0125
+
+
+def test_driver_runs_the_checkout_it_starts_in(tmp_path):
+    """tools/bench_driver.py imports `src` and `bench/workloads.py` of its working directory."""
+    root = tmp_path / "checkout"
+    (root / "bench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "bench" / "checks.py").write_text("class CheckError(AssertionError):\n    pass\n")
+    (root / "bench" / "workloads.py").write_text(
+        "import checks\n"
+        "class W:\n"
+        "    name = 'w'\n"
+        "    def __init__(self, seed, out_dir):\n"
+        "        self.seed = seed\n"
+        "    def setup(self):\n"
+        "        pass\n"
+        "    def prepare(self):\n"
+        "        pass\n"
+        "    def run_pass(self, i):\n"
+        "        return i\n"
+        "    def check(self, out):\n"
+        "        if out == 2:\n"
+        "            raise checks.CheckError('pass 2 is wrong')\n"
+        "    def discard(self, out):\n"
+        "        pass\n"
+        "WORKLOADS = {'w': W}\n"
+    )
+    driver = bench_pair.Driver(root, "w", seed=3)
+    try:
+        assert driver.first_correct
+        results = [driver.run_pass() for _ in range(3)]
+    finally:
+        driver.close()
+    assert driver.proc.returncode == 0
+    assert [r["correct"] for r in results] == [True, False, True]
+    assert all(r["wall_s"] >= 0.0 for r in results)

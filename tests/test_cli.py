@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from rootspiral import spiral
+from rootspiral.claims import claimed_divisors
 from rootspiral.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 from rootspiral.config import OUTPUT_DIR_ENV, Config
 from rootspiral.spiral import _CSV_ROWS, SpiralTable, shared_table
@@ -191,6 +192,20 @@ def test_figures_use_the_table_of_the_run(tmp_path, monkeypatch):
     out = tmp_path / "fig.svg"
     assert run(["render", "--divisor", "13", "--n-max", "5000", "--out", str(out)]) == EXIT_OK
     assert spiral._shared.n_max == 5000
+
+
+@pytest.mark.parametrize("flags", [["--mirror"], ["--n-max", "1000"]], ids=["mirror", "n_max=1000"])
+def test_report_all_figures_equal_render(tmp_path, flags):
+    """`report --all` draws its six figures on one canvas; each equals its own `render`."""
+    assert run(["report", "--all", *flags, "--out", str(tmp_path / "all")]) in (EXIT_OK, EXIT_MISMATCH)
+    for d in claimed_divisors():
+        one = tmp_path / f"render_d{d}.svg"
+        assert run(["render", "--divisor", str(d), *flags, "--out", str(one)]) == EXIT_OK
+        assert (tmp_path / "all" / f"figure_d{d}.svg").read_bytes() == one.read_bytes(), d
+    if flags == ["--mirror"]:
+        digests = dict(line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines())
+        svg = (tmp_path / "all" / "figure_d13.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == digests["figure_d13_mirror.svg"]
 
 
 def test_report_single_divisor(tmp_path):

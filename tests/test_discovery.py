@@ -370,6 +370,28 @@ class TestSystems:
         for d, expected in want.items():
             assert reports[d].counts == expected, f"d={d}"
 
+    def test_report_all_arms_are_checked_records(self, reports):
+        """Enumeration builds its records unchecked; each is one the checks accept."""
+        arms = [a for rep in reports.values() for s in rep.systems for a in s.arms]
+        assert len(arms) == 2596
+        for arm in arms:
+            assert type(arm) is Arm and type(arm.poly) is HalfIntQuadratic, arm
+            assert HalfIntQuadratic(*arm.poly) == arm.poly
+
+    def test_arm_is_a_record(self):
+        """An arm is the tuple (poly, divisor, members, rotation) and prints as before."""
+        q = HalfIntQuadratic(18, 42, 16)
+        arm = Arm(q, 2, (8, 38), Rotation.POSITIVE)
+        assert arm == Arm(poly=q, divisor=2, members=(8, 38), rotation=Rotation.POSITIVE)
+        assert tuple(arm) == (arm.poly, arm.divisor, arm.members, arm.rotation)
+        assert hash(arm) == hash((q, 2, (8, 38), Rotation.POSITIVE))
+        assert repr(arm) == (
+            "Arm(poly=HalfIntQuadratic(A=18, B=42, C=16), divisor=2, members=(8, 38), "
+            "rotation=<Rotation.POSITIVE: 'positive'>)"
+        )
+        with pytest.raises(AttributeError):
+            arm.members = ()
+
     def test_single_arm_single_system(self, table):
         q = canonical_shift(HalfIntQuadratic(18, 42, 16))
         members = tuple(q.eval(x) for x in range(8))
@@ -539,6 +561,7 @@ class TestVerify:
                 assert all(n % d == 0 for arm in s.arms for n in arm.members), (d, s.label)
                 # render_svg cuts members with bisect. Only f(0) = f(1) may tie (B = -A).
                 for arm in s.arms:
+                    assert type(arm.poly) is HalfIntQuadratic and HalfIntQuadratic(*arm.poly) == arm.poly
                     m = arm.members
                     assert m[0] <= m[1] and all(p < q for p, q in zip(m[1:], m[2:])), str(arm.poly)
             if d in claims:

@@ -41,14 +41,27 @@ class TestHalfIntQuadratic:
         assert q.eval(x) == (26 * x * x + 104 * x + 78) // 2
 
     def test_invalid_coefficients(self):
-        with pytest.raises(Exception):
-            HalfIntQuadratic(0, 2, 2)  # A must be positive
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match=r"^leading coefficient must be positive, got A=0$"):
+            HalfIntQuadratic(0, 2, 2)
+        with pytest.raises(ValueError, match=r"^leading coefficient must be positive, got A=-2$"):
             HalfIntQuadratic(-2, 2, 2)
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match=r"^\(A=18, B=43, C=16\) does not take integer values on the integers$"):
             HalfIntQuadratic(18, 43, 16)  # A + B odd
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match=r"^\(A=18, B=42, C=17\) does not take integer values on the integers$"):
             HalfIntQuadratic(18, 42, 17)  # C odd
+
+    def test_record_is_the_tuple_a_b_c(self):
+        """Records compare, sort and hash as (A, B, C), print as before and cannot be changed."""
+        q = HalfIntQuadratic(18, 42, 16)
+        assert tuple(q) == (q.A, q.B, q.C) == (18, 42, 16)
+        assert HalfIntQuadratic(*q) == q and hash(q) == hash((18, 42, 16))
+        assert q != HalfIntQuadratic(18, 40, 16) and len({q, HalfIntQuadratic(18, 42, 16)}) == 1
+        polys = [HalfIntQuadratic(18, 2, 2), HalfIntQuadratic(2, 4, 2), HalfIntQuadratic(18, 0, 4)]
+        assert sorted(polys) == [HalfIntQuadratic(2, 4, 2), HalfIntQuadratic(18, 0, 4), HalfIntQuadratic(18, 2, 2)]
+        assert repr(q) == "HalfIntQuadratic(A=18, B=42, C=16)"
+        with pytest.raises(AttributeError):
+            q.A = 20
+        assert not hasattr(q, "__dict__")
 
     @pytest.mark.parametrize(
         "coeffs, text",

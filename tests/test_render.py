@@ -18,38 +18,38 @@ from rootspiral.config import Config
 from rootspiral.csvformat import _fixed4_cells, _fmt, _text, fixed4_strings
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
-from rootspiral.render import CANVAS, MARGIN, export_report, render_svg
+from rootspiral.render import CANVAS, MARGIN, Canvas, export_report, render_svg
 from rootspiral.spiral import SpiralTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_minimal_scene_single_segment(table, reports):
-    svg = render_svg(reports[17], table, 2).decode()
+    svg = render_svg(reports[17], Canvas(table, 2)).decode()
     polylines = re.findall(r'<polyline[^>]*points="([^"]*)"', svg)
     assert len(polylines) == 1
     assert len(polylines[0].split()) == 2  # one segment: two vertices
 
 
-def test_scene_validation(table, reports):
+def test_scene_validation(table):
     with pytest.raises(ValueError):
-        render_svg(reports[17], table, 1)
+        Canvas(table, 1)
 
 
-def test_scene_exceeding_table_raises(reports):
+def test_scene_exceeding_table_raises():
     small = SpiralTable(100)
     with pytest.raises(RangeExhausted):
-        render_svg(reports[17], small, 200)
+        Canvas(small, 200)
 
 
 def test_determinism_byte_identical(table):
     rep = discover(17, table=table)
-    assert render_svg(rep, table, 2000) == render_svg(rep, table, 2000)
+    assert render_svg(rep, Canvas(table, 2000)) == render_svg(rep, Canvas(table, 2000))
 
 
 def test_mirror_flips_y(table, reports):
-    plain = render_svg(reports[17], table, 50).decode()
-    flipped = render_svg(reports[17], table, 50, mirror=True).decode()
+    plain = render_svg(reports[17], Canvas(table, 50)).decode()
+    flipped = render_svg(reports[17], Canvas(table, 50, mirror=True)).decode()
     assert plain != flipped
     pts = re.search(r'points="([^"]*)"', plain).group(1).split()
     fpts = re.search(r'points="([^"]*)"', flipped).group(1).split()
@@ -62,7 +62,7 @@ def test_mirror_flips_y(table, reports):
 
 
 def test_plotted_vertices_match_spiral(table, reports):
-    svg = render_svg(reports[17], table, 300).decode()
+    svg = render_svg(reports[17], Canvas(table, 300)).decode()
     pts = re.search(r'points="([^"]*)"', svg).group(1).split()
     assert len(pts) == 300
     scale = (CANVAS / 2 - MARGIN) / math.sqrt(300)
@@ -143,12 +143,12 @@ class TestFixed4Formatter:
 
 
 def test_highlight_multiples(table, reports):
-    svg = render_svg(reports[17], table, 100).decode()
+    svg = render_svg(reports[17], Canvas(table, 100)).decode()
     assert svg.count("<circle") == 5  # 17, 34, 51, 68, 85
 
 
 def test_square_reference_layer(table, reports):
-    svg = render_svg(reports[17], table, 500).decode()
+    svg = render_svg(reports[17], Canvas(table, 500)).decode()
     assert 'id="square-reference"' in svg
 
 
@@ -224,7 +224,7 @@ class TestGolden:
     def test_figure_d17(self, table):
         rep = discover(17, table=table)
         golden = (GOLDEN / "figure_d17.svg").read_bytes()
-        assert render_svg(rep, table, Config().n_max) == golden
+        assert render_svg(rep, Canvas(table, Config().n_max)) == golden
 
     @pytest.mark.parametrize(
         "d, mirror", [(2, False), (3, False), (5, False), (11, False), (13, False), (13, True)]
@@ -235,5 +235,5 @@ class TestGolden:
             line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines()
         )
         name = f"figure_d{d}{'_mirror' if mirror else ''}.svg"
-        svg = render_svg(reports[d], table, Config().n_max, mirror)
+        svg = render_svg(reports[d], Canvas(table, Config().n_max, mirror))
         assert hashlib.sha256(svg).hexdigest() == digests[name]

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -171,6 +172,7 @@ def _avx512_targets() -> list[str]:
 #: and the 10^7 arctan terms, and print the digest of theta(10^7).
 _OTHER_ARCTAN_PATH = """
 import hashlib, os, sys
+import numpy as np
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:
@@ -183,7 +185,7 @@ csv_path, terms_path = sys.argv[1:]
 assert run(["spiral", "--n-max", "20000", "--out", csv_path]) == 0
 with open(terms_path, "wb") as out:
     for lo in range(1, 10**7, 1 << 20):
-        _angle_terms(lo, min(lo + (1 << 20), 10**7)).tofile(out)
+        _angle_terms(np.arange(lo, min(lo + (1 << 20), 10**7), dtype=np.float64)).tofile(out)
 print(hashlib.sha256(SpiralTable(10**7).theta_array.tobytes()).hexdigest())
 """
 
@@ -206,7 +208,9 @@ def test_digests_hold_on_the_other_arctan_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
     other, n, step = np.memmap(terms, dtype=np.float64, mode="r"), 10**7, 1 << 20
     differ = sum(
-        int(np.count_nonzero(other[lo - 1:lo - 1 + step] != _angle_terms(lo, min(lo + step, n))))
+        int(np.count_nonzero(
+            other[lo - 1:lo - 1 + step] != _angle_terms(np.arange(lo, min(lo + step, n), dtype=np.float64))
+        ))
         for lo in range(1, n, step)
     )
     note = f"{differ} of {n - 1} arctan terms differ with {' '.join(off)} switched off"
@@ -532,6 +536,34 @@ class TestChunkedBuild:
         want = SpiralTable(20000).theta_array
         assert np.array_equal(table.theta_array.view(np.uint64), want.view(np.uint64))
 
+    def test_build_allocates_no_buffer_per_step(self):
+        """A build faults in theta and its buffers once, not fresh temporaries per step.
+
+        Measured in a fresh process, around the first build: a build that
+        allocated its term and split arrays anew for each of its 32 steps
+        faulted ~12 000 times, against theta's 4 097 pages.
+        """
+        src = Path(__import__("rootspiral").__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_FAULTS, str(2**21)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults, nbytes = map(int, proc.stdout.split())
+        assert nbytes == (2**21 + 1) * 8
+        assert faults < nbytes / resource.getpagesize() + 1000
+
+
+#: Print the minor page faults of one SpiralTable(argv[1]) build, and theta's bytes.
+_BUILD_FAULTS = """
+import resource, sys
+from rootspiral.spiral import SpiralTable
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+table = SpiralTable(int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, table.theta_array.nbytes)
+"""
+
 
 def _fsum_rows(rows):
     return np.array([math.fsum(row.tolist()) for row in rows])
@@ -656,7 +688,7 @@ class TestBlockSums:
             assert _block_sums(x)[0] == math.fsum(x[0]) == math.ldexp(float(total), -82)
 
     def test_real_blocks_of_a_1e7_build(self):
-        terms = _angle_terms(1, 10**7)
+        terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
         rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
         assert len(rows) == 2441
         spread = _exponent_spread(rows)

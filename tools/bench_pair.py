@@ -31,11 +31,24 @@ that the run itself reaped, so each record reads its own run's peak.
 The output JSON holds every result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs in which
 the working tree was better (ties count for neither side).
+
+Before the pairs, an in-process block times single passes inside two
+long-lived drivers (`tools/bench_driver.py`), one per side, each started
+from its side's root so that it imports that side's `src` and
+`bench/workloads.py`. Per workload, it alternates `IN_PROCESS_PASSES`
+passes per side between the two drivers, the base first in even passes,
+after one untimed warm-up pass per side that gets the workload's full
+check. Its summary, under `in_process`, holds each side's median and
+quartiles of `wall_s`, whether every pass of a side was correct, and the
+number of passes in which the working tree was faster. It sees the pass
+alone: none of the start-up, set-up or process noise of a run. Each side
+runs from one directory name there (the base from `a`, the change from `b`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -48,6 +61,12 @@ from pathlib import Path
 SIDES = ("base", "change")
 PAIRS = 10  # a claimed gain must win at least nine of ten pairs
 DIRS = ("a", "b")  # the two sides' directory names, swapped between pairs
+IN_PROCESS_PASSES = 40  # timed passes per side and workload in the in-process block
+DRIVER = Path(__file__).resolve().with_name("bench_driver.py")
+#: numpy's thread pools are held at one thread, as bench/run.py holds them.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+DRIVER_TIMEOUT_S = 120.0
 
 
 def placement(pair: int) -> tuple[str, str]:
@@ -120,6 +139,88 @@ def run_pairs(tmp: Path, workloads: list[str], seed: int, seconds: float) -> lis
     return runs
 
 
+class Driver:
+    """One `tools/bench_driver.py` process, set up in one checkout; one pass per `run_pass`."""
+
+    def __init__(self, checkout: Path, workload: str, seed: int):
+        cmd = [sys.executable, str(DRIVER), workload, str(seed), str(checkout / ".bench_out" / "driver")]
+        env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+        self.proc = subprocess.Popen(cmd, cwd=checkout, env=env, text=True,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        ready = self.proc.stdout.readline().strip()
+        if ready not in ("ready", "failed"):
+            self.close()
+            raise RuntimeError(f"{workload} driver in {checkout.name} exited {self.proc.returncode}")
+        self.first_correct = ready == "ready"  # the warm-up pass's full check
+
+    def run_pass(self) -> dict:
+        """Time one pass: {"wall_s": seconds or None, "correct": bool}."""
+        self.proc.stdin.write("pass\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"driver exited {self.proc.wait()} during a pass")
+        return json.loads(line)
+
+    def close(self) -> None:
+        with contextlib.suppress(BrokenPipeError):  # a driver that died mid-pass
+            self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=DRIVER_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+def run_in_process(roots: dict[str, Path], workloads: list[str], seed: int) -> dict:
+    """Per workload, `IN_PROCESS_PASSES` passes per side, alternated between two drivers.
+
+    `roots` maps each side to the checkout its driver runs from. A workload
+    whose driver fails to start or dies is recorded with its error.
+    """
+    block: dict[str, dict] = {}
+    for workload in workloads:
+        drivers: dict[str, Driver] = {}
+        try:
+            for side in SIDES:
+                drivers[side] = Driver(roots[side], workload, seed)
+            walls: dict[str, list] = {side: [] for side in SIDES}
+            correct = {side: drivers[side].first_correct for side in SIDES}
+            for i in range(IN_PROCESS_PASSES):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result = drivers[side].run_pass()
+                    walls[side].append(result["wall_s"])
+                    correct[side] = correct[side] and result["correct"]
+            block[workload] = summarize_in_process(walls, correct)
+        except (RuntimeError, OSError) as exc:
+            block[workload] = {"error": str(exc)}
+        finally:
+            for driver in drivers.values():
+                driver.close()
+        print(json.dumps({"in_process": workload, **{k: v for k, v in block[workload].items()
+                                                     if k != "wall_s"}}), flush=True)
+    return block
+
+
+def summarize_in_process(walls: dict[str, list], correct: dict[str, bool]) -> dict:
+    """Each side's quartiles of wall_s and the passes the change was faster in.
+
+    Pass i of one side is paired with pass i of the other; a pass that
+    raised (wall_s None) counts for neither side.
+    """
+    both = [(b, c) for b, c in zip(walls["base"], walls["change"]) if b is not None and c is not None]
+    out: dict = {"passes": IN_PROCESS_PASSES, "correct": correct}
+    for side in SIDES:
+        done = [w for w in walls[side] if w is not None]
+        if done:
+            out[side] = quartiles(done)
+    out["pairs"] = len(both)
+    out["change_better_passes"] = sum(c < b for b, c in both)
+    out["wall_s"] = walls
+    return out
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -170,6 +271,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         base_sha = export_commit(root, args.base, Path(tmp) / DIRS[0])
         copy_working_tree(root, Path(tmp) / DIRS[1])
+        in_process = run_in_process(dict(zip(SIDES, (Path(tmp) / d for d in DIRS))), workloads, args.seed)
         runs = run_pairs(Path(tmp), workloads, args.seed, seconds)
     report = {
         "base": base_sha,
@@ -179,10 +281,12 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "command": "python3 bench/run.py --workload W --seed SEED --seconds SECONDS --trace 0",
         "summary": summarize(runs, spec["end_to_end"]),
+        "in_process": in_process,
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0 if all("metrics" in r["result"] for r in runs) else 1
+    ok = all("metrics" in r["result"] for r in runs) and not any("error" in w for w in in_process.values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
