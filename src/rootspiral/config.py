@@ -45,10 +45,11 @@ _TYPES = {
 class Config:
     """Pipeline parameters.
 
-    The init fields are the run's settings and the calibrated discovery
-    constants (documented in discovery). The init=False fields are the
-    fixed bounds the claims are judged at and the fixed enumeration limits;
-    no run can retune them, and each is read as `Config.<name>`.
+    Seven init fields are the run's settings and the calibrated discovery
+    constants (documented in discovery). The five init=False fields are the
+    fixed bounds the claims are judged at and the near-centre window that
+    splits equal-A families; no run can retune them, and each is read as
+    `Config.<name>`.
     """
 
     n_max: int = 20000
@@ -67,7 +68,6 @@ class Config:
                                    #  40 loses d = 5 N3 and d = 17 N1
     run_start_max: int = 7         # settled drift run must begin by this step;
                                    #  5 loses d = 17 N1 and P1
-    b_hard_max: int = field(default=1200, init=False)   # bound on the doubled linear coefficient
     early_drift_lo: int = field(default=1, init=False)  # near-centre drift window (inclusive lo,
     early_drift_hi: int = field(default=7, init=False)  #  exclusive hi) splitting equal-A families
 

@@ -25,6 +25,7 @@ over the first few near-centre steps splits the arms.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,6 @@ from .quadratics import (
     Rotation,
     asymptotic_drift,
     divisible_by,
-    family_residue,
     rotation_of,
 )
 from .spiral import TWO_PI, SpiralTable, shared_table
@@ -200,11 +200,38 @@ def families_for(d: int) -> dict[Rotation, int]:
     return {Rotation.POSITIVE: below, Rotation.NEGATIVE: below + d}
 
 
-#: Most grid cells (candidates x members) that family enumeration evaluates
-#: at once, to bound the grid temporaries. Past the pre-gate, `report --all`
-#: peaks at 36.6 MB RSS with 2^13 or 2^15 and at 37.3 MB with one chunk per
-#: family (CPython 3.11, numpy 2.4, x86-64 Linux).
+#: Most grid cells (candidates x members) evaluated at once. `report --all`
+#: peaks at 36.7 MB RSS with 2^13, 36.8 MB with 2^15 and 37.9 MB with one chunk
+#: per family (CPython 3.11, numpy 2.4, x86-64 Linux).
 _GRID_CELLS = 1 << 13
+
+
+def _b_max(A: int, s: int, config: Config) -> int:
+    """Least B >= 0 from which every candidate of family A fails the drift
+    gate at every step x <= s; an arm passes it at its run's start x <= s.
+
+    For a = f(x) >= 1 and b = f(x + 1), arctan y >= y - y^3/3 and integrals
+    give theta(b) - theta(a) >= 2(sqrt b - sqrt a) - (a^-1.5 + 2 a^-0.5)/3.
+    Over C in [2, 2*centre_cap] take the main term at C = 2*centre_cap (it
+    falls as C grows, as b >= a) and the correction at C = 2, f exact. For
+    B >= 0 neither falls as B grows: (x+1)^2 f(x) - x^2 f(x+1) = (Bx(x+1) +
+    C(2x+1))/2 >= 0. 1e-6 rad covers theta's error (< 1e-8) and rounding.
+    """
+    bound = TWO_PI + asymptotic_drift(A) + config.angular_tol_rad + 1e-6
+    cap = config.centre_cap
+
+    def fails(B: int) -> bool:  # the lower bound clears the gate at every step x <= s
+        for x in range(s + 1):
+            a, b = ((A * y * y + B * y) / 2 for y in (x, x + 1))  # f(x) - C/2, f(x + 1) - C/2
+            main = 2 * (math.sqrt(b + cap) - math.sqrt(a + cap))
+            if main - ((a + 1) ** -1.5 + 2 * (a + 1) ** -0.5) / 3 <= bound:
+                return False
+        return True
+
+    hi = 1
+    while not fails(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi), True, key=fails)
 
 
 def enumerate_family_arms(
@@ -222,53 +249,29 @@ def enumerate_family_arms(
     run_start_max, leaving at least min_chain_len settled members.
 
     The family's one residue class (B = -A, C = 0 mod 2d) is one int64
-    grid: a row per canonical candidate (B, C), a column per x, holding
-    f(x); a family with d not dividing A has no arms. Every candidate has
-    B >= -A and C >= 2, so 2f(x+1) - 2f(x) = A(2x+1) + B >= 2Ax: from
-    f(0) >= 1 the members never descend on x >= 0 (only f(1) = f(0) ties,
-    when B = -A), so every member is positive. And 2f(x) > A*x*(x-1), so
-    every row passes n_max once x*(x-1) >= 2*n_max/A, which bounds the
-    grid width. The angles of the members are gathered from the table's
-    theta array, which must cover n_max, and their step drifts tested as
-    whole rows; the settled run starts one past the last failing step.
-    Rows are taken in chunks of at most _GRID_CELLS cells.
-
-    Before the grid, a pre-gate tests step s = run_start_max of every
-    candidate alone: theta at f(s) and f(s + 1), read with the grid's
-    indices and drift-tested with the grid's float operations. When that
-    step fails while f(s + 1) <= n_max, every member up to f(s + 1) lies
-    under n_max, so step s is inside the arm (s < count - 1). The grid
-    would fail the same step and start the settled run past
-    run_start_max, so dropping the candidate is exact. At the defaults
-    the pre-gate drops ~89 % of the candidates, and every survivor is an
-    arm.
+    grid: a row per canonical candidate (B, C) with B < _b_max, a column
+    per x, holding f(x); a family with d not dividing A has no arms. Every
+    candidate has B >= -A and C >= 2, so 2f(x+1) - 2f(x) = A(2x+1) + B >=
+    2Ax: from f(0) >= 1 the members never descend on x >= 0 (f(1) = f(0)
+    when B = -A). And 2f(x) > A*x*(x-1), so every row passes n_max once
+    x*(x-1) >= 2*n_max/A, which bounds the grid width. The step drifts, read
+    from the theta array, are tested in chunks of at most _GRID_CELLS cells;
+    the settled run starts one past the last failing step.
     """
     if config.n_max > table.n_max:
         raise RangeExhausted(f"arms need n_max={config.n_max}, table holds {table.n_max}")
-    residue = family_residue(A, d)
-    if residue is None:
+    if A % d:  # no residue class (quadratics.family_residue)
         return []
-    br, _ = residue
     theta = table.theta_array
     target = asymptotic_drift(A)
     width = math.isqrt(2 * config.n_max // A) + 3
+    s = min(config.run_start_max, width - 2)  # no step past width - 2 lies inside an arm
     B, C = np.meshgrid(
-        np.concatenate(
-            (np.arange(br, Config.b_hard_max, 2 * d), np.arange(br - 2 * d, -A - 1, -2 * d))
-        ),
+        np.arange(-A, _b_max(A, s, config), 2 * d),  # B = -A (mod 2d) and B >= -A
         np.arange(2 * d, 2 * config.centre_cap + 1, 2 * d),  # C = 0 (mod 2d) and C >= 2
     )
     canonical = canonical_start(A, B, C)  # otherwise the arm starts further in
     B, C = B[canonical].astype(np.int64), C[canonical].astype(np.int64)
-
-    # Clamped into the grid (Config keeps run_start_max >= 0): past step
-    # width - 2 the step never lies inside an arm, so it rejects nothing.
-    s = np.array([0, 1]) + min(config.run_start_max, width - 2)
-    v = (A * s * s + B[:, None] * s + C[:, None]) // 2
-    th = theta[np.minimum(v, config.n_max)]
-    fails = ~(np.abs(th[:, 1] - th[:, 0] - TWO_PI - target) <= config.angular_tol_rad)
-    survive = ~(fails & (v[:, 1] <= config.n_max))
-    B, C = B[survive], C[survive]
     order = np.lexsort((C, B, B % (2 * A)))
     B, C = B[order], C[order]
 

@@ -238,8 +238,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 FIXED_FIELDS = (
-    "pair_tol_deg", "pair_claim_tol_deg", "drift_epsilon_rad",
-    "b_hard_max", "early_drift_lo", "early_drift_hi",
+    "pair_tol_deg", "pair_claim_tol_deg", "drift_epsilon_rad", "early_drift_lo", "early_drift_hi",
 )
 
 
@@ -249,6 +248,8 @@ FIXED_FIELDS = (
         # a fixed tolerance is an unknown key, even at its own value
         *(({name: getattr(Config, name)}, f"unknown config keys: ['{name}']")
           for name in FIXED_FIELDS),
+        # the old fixed bound on B, now derived from the drift gate
+        ({"b_hard_max": 1200}, "unknown config keys: ['b_hard_max']"),
         ({"angular_tol_rad": 0}, "angular_tol_rad must be positive"),
         ({"min_chain_len": 3}, "min_chain_len must be at least 4"),
         ({"n_max": 99}, "n_max must be at least 100"),
@@ -266,10 +267,11 @@ FIXED_FIELDS = (
         ({"centre_cap": "54"}, "centre_cap must be an integer, got '54'"),
         ({"run_start_max": True}, "run_start_max must be an integer, got True"),
     ],
-    ids=[*FIXED_FIELDS, "angular_tol_rad=0", "min_chain_len=3", "n_max=99", "centre_cap=0",
-         "run_start_max=-1", "n_max=str", "angular_tol_rad=str", "angular_tol_rad=bool",
-         "angular_tol_rad=nan", "angular_tol_rad=huge", "min_chain_len=float", "mirror=str",
-         "output_dir=int", "centre_cap=str", "run_start_max=bool"],
+    ids=[*FIXED_FIELDS, "b_hard_max", "angular_tol_rad=0", "min_chain_len=3", "n_max=99",
+         "centre_cap=0", "run_start_max=-1", "n_max=str", "angular_tol_rad=str",
+         "angular_tol_rad=bool", "angular_tol_rad=nan", "angular_tol_rad=huge",
+         "min_chain_len=float", "mirror=str", "output_dir=int", "centre_cap=str",
+         "run_start_max=bool"],
 )
 def test_config_file_rejects(tmp_path, capsys, data, error):
     cfg = tmp_path / "cfg.json"
@@ -282,7 +284,7 @@ def test_config_file_rejects(tmp_path, capsys, data, error):
 
 
 def test_config_settable_fields():
-    """Only the run settings and the calibration are settable; all 13 are reported."""
+    """Only the run settings and the calibration are settable; all 12 are reported."""
     settable = [f.name for f in dataclasses.fields(Config) if f.init]
     assert settable == [
         "n_max", "angular_tol_rad", "min_chain_len", "mirror", "output_dir",

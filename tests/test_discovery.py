@@ -219,6 +219,11 @@ def _scan_family_residues(A, d):
     return pairs
 
 
+#: The scalar oracle's top of B, a fixed box; the tests that run it assert
+#: that it covers discovery._b_max for their config.
+_ORACLE_B_TOP = 1500
+
+
 def _scalar_family_arms(A, d, table, cfg):
     """Family enumeration one candidate and one angle read at a time."""
     theta = table.theta_array.tolist()
@@ -226,7 +231,7 @@ def _scalar_family_arms(A, d, table, cfg):
     for br, cr in _scan_family_residues(A, d):
         c_lo = cr if cr >= 2 else cr + 2 * d
         for C in range(c_lo, 2 * cfg.centre_cap + 1, 2 * d):
-            b_values = list(range(br, cfg.b_hard_max, 2 * d)) + list(
+            b_values = list(range(br, _ORACLE_B_TOP, 2 * d)) + list(
                 range(br - 2 * d, -A - 1, -2 * d)
             )
             for B in b_values:
@@ -268,6 +273,11 @@ def test_canonical_shift_fixes_exactly_the_canonical_starts():
     assert 0 < sum(want) < len(want)
 
 
+@pytest.fixture(scope="module")
+def table_2e5():
+    return SpiralTable(200000)
+
+
 class TestFamilyEnumeration:
     def test_family_residue_matches_scan(self):
         for d in range(2, 41):
@@ -284,8 +294,8 @@ class TestFamilyEnumeration:
             Config(angular_tol_rad=0.25),
             Config(centre_cap=40, run_start_max=5),
             Config(min_chain_len=30),  # the settled-tail gate binds here
-            Config(run_start_max=0),  # the pre-gate tests the grid's first step
-            Config(run_start_max=40),  # step 40 has settled or lies past n_max: none pre-rejected
+            Config(run_start_max=0),  # the derived box reads step 0 alone
+            Config(run_start_max=40),  # the derived box widens about fourfold
             Config(n_max=300),  # x = run_start_max + 1 lies past most families' grid width
         ],
         ids=[
@@ -300,8 +310,49 @@ class TestFamilyEnumeration:
             table = SpiralTable(cfg.n_max)
         for d in (2, 3, 4, 5, 6, 7, 11, 13, 17):
             for A in sorted(set(families_for(d).values())):
+                # unclamped, run_start_max gives the widest box the grid can use
+                assert discovery._b_max(A, cfg.run_start_max, cfg) <= _ORACLE_B_TOP, (d, A)
                 got = enumerate_family_arms(A, d, table=table, config=cfg)
                 assert got == _scalar_family_arms(A, d, table, cfg), (d, A)
+
+    def test_finds_the_arm_past_the_old_fixed_box(self, table_2e5):
+        """21x^2 + 609x + 42 (B = 1218) settles by step 40; a box of B < 1200 missed it."""
+        cfg = Config(n_max=200000, run_start_max=40)
+        assert discovery._b_max(42, cfg.run_start_max, cfg) <= _ORACLE_B_TOP
+        got = enumerate_family_arms(42, 42, table=table_2e5, config=cfg)
+        arm = dict(got).get(HalfIntQuadratic(42, 1218, 84))
+        assert arm is not None and len(arm) == 85
+        assert got == _scalar_family_arms(42, 42, table_2e5, cfg)
+
+    @pytest.mark.parametrize("run_start_max", [7, 40])
+    def test_no_candidate_past_the_derived_box_passes_a_step(self, table_2e5, run_start_max):
+        """Every in-arm step x <= run_start_max of every canonical candidate
+        with _b_max <= B < 6000 fails the drift gate, read against the table."""
+        cfg = Config(n_max=200000, run_start_max=run_start_max)
+        theta = table_2e5.theta_array
+        checked = 0
+        for d in range(2, 60):
+            for A in sorted(set(families_for(d).values())):
+                residue = family_residue(A, d)
+                if residue is None:
+                    continue
+                s = min(run_start_max, math.isqrt(2 * cfg.n_max // A) + 1)
+                b_max = discovery._b_max(A, s, cfg)
+                first = b_max + (residue[0] - b_max) % (2 * d)
+                B, C = np.meshgrid(
+                    np.arange(first, 6000, 2 * d), np.arange(2 * d, 2 * cfg.centre_cap + 1, 2 * d)
+                )
+                keep = canonical_start(A, B, C)
+                B, C = B[keep], C[keep]
+                target = asymptotic_drift(A)
+                for x in range(s + 1):
+                    lo, hi = (A * x * x + B * x + C) // 2, (A * (x + 1) ** 2 + B * (x + 1) + C) // 2
+                    inside = hi <= cfg.n_max
+                    th0, th1 = theta[lo[inside]], theta[hi[inside]]
+                    passes = np.abs(th1 - th0 - TWO_PI - target) <= cfg.angular_tol_rad
+                    assert not passes.any(), (d, A, x)
+                    checked += int(inside.sum())
+        assert checked > 100000
 
     @pytest.mark.parametrize("d", [2, 5, 17])
     def test_discover_arms_enumerates_each_family_once(self, table, monkeypatch, d):
