@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,8 @@ from rootspiral.quadratics import (
 )
 from rootspiral.render import export_report
 from rootspiral.spiral import TWO_PI, SpiralTable
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _circ_diff(a, b):
@@ -406,6 +410,23 @@ class TestDirectionSplit:
         table = SpiralTable(300)
         arms = discover_arms(17, table=table, config=cfg)
         assert any(a.poly.eval(cfg.early_drift_hi) > table.n_max for a in arms)
+
+    def test_report_d23(self, table):
+        """d >= 20: the one family A = d serves both directions, split into 1 P and 1 N system."""
+        rep = discover(23, table=table)
+        assert rep.counts == {"positive": 1, "negative": 1}
+        assert sum(len(s.arms) for s in rep.systems) == 7
+        assert export_report(rep, "json") == (GOLDEN / "report_d23.json").read_bytes()
+
+    def test_arms_digest_d2_to_200(self, table):
+        """One line (d, A, B, C, rotation, member count) per arm of discover_arms, pinned by digest."""
+        lines = "".join(
+            f"{d} {a.poly.A} {a.poly.B} {a.poly.C} {a.rotation.value} {len(a.members)}\n"
+            for d in range(2, 201)
+            for a in discover_arms(d, table=table, config=Config())
+        )
+        want = (GOLDEN / "arms_d2_200.sha256").read_text().split()[0]
+        assert hashlib.sha256(lines.encode("ascii")).hexdigest() == want
 
 
 class TestSystems:
