@@ -16,7 +16,6 @@ from .quadratics import (
     Rotation,
     difference_table,
     divisible_by,
-    drift,
     fit_quadratic,
     rotation_of,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "UnknownDivisor",
     "difference_table",
     "divisible_by",
-    "drift",
     "fit_quadratic",
     "rotation_of",
     "shared_table",

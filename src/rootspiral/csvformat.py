@@ -1,12 +1,9 @@
-"""Text formatted in numpy, byte-equal to CPython's "%d", "%.17e" and "%.4f".
+"""CSV rows of the spiral table formatted in numpy, byte-equal to CPython's "%d" and "%.17e".
 
-Two formatters share the layout: CSV rows of the spiral table (csv_text,
-ASCII bytes) and the fixed 4-decimal coordinates of the SVG figures
-(fixed4_strings). The values are laid out in a uint8 byte matrix, one row
-of cells each, with NUL in unused bytes; dropping the NULs gives the text.
-Each number is printed from an exactly rounded integer, and the rare value
-that cannot be printed exactly this way goes to CPython's formatter, one at
-a time.
+The rows are laid out in a uint8 byte matrix, one row of cells each, with
+NUL in unused bytes; dropping the NULs gives the text. Each number is
+printed from an exactly rounded integer, and the rare value that cannot be
+printed exactly this way goes to CPython's formatter, one row at a time.
 
 A "%.17e" cell is 24 bytes, written as six little-endian uint32 words
 looked up in three tables built at import: the sign, first digit, "." and
@@ -186,11 +183,6 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _text(cells: np.ndarray) -> str:
-    """The text of a cell matrix, row by row, with the NULs dropped."""
-    return cells.tobytes().replace(b"\0", b"").decode("ascii")
-
-
 def _csv_cells(n, radius, theta, winding, x, y) -> tuple[np.ndarray, list[int]]:
     """csv_text's byte matrix, and the rows with a value left to the fallback.
 
@@ -229,56 +221,3 @@ def csv_text(n, radius, theta, winding, x, y) -> bytes:
         start = i + 1
     parts.append(raw[start * width:].replace(b"\0", b""))
     return b"".join(parts)
-
-
-def _fmt(value: float) -> str:
-    """Fixed 4-decimal coordinate formatting; avoids '-0.0000'."""
-    out = f"{value:.4f}"
-    return "0.0000" if out == "-0.0000" else out
-
-
-def _fixed4_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_fmt of each value of a 1-D float64 array, as byte cells.
-
-    Returns a uint8 matrix, one value a row: a sign cell, the integer digits
-    right-aligned with leading zeros NUL, ".", and 4 decimals; and a mask of
-    the values left to the caller's fallback. A value prints the digits of
-    N = round(|v| * 10**4), ties to even, and a "-" only where v < 0 and
-    N > 0, so -0.00004 prints "0.0000" as _fmt does.
-
-    _scale gives |v| * 10**4 exactly as p + t: 10**4 is a double, so the
-    Dekker product is exact. Where |v| * 10**4 < 2**52, ulp(p) <= 1/2, so
-    p's fraction f is exact and |t| <= ulp(p) / 2: f < 1/2 rounds down,
-    f > 1/2 up, and at f = 1/2 the sign of t decides, with t = 0 a true
-    tie. NaN, +-inf and |v| >= 2**52 / 10**4 (12 integer digits) are left
-    to the fallback.
-    """
-    a = np.abs(v)
-    # False for NaN. The double 2**52 / 1e4 is rounded up, but no double lies
-    # between it and the exact bound, so every a below it is below 2**52 / 10**4.
-    ok = a < 2.0**52 / 1e4
-    a = np.where(ok, a, 0.0)  # the fallback's rows print 0.0000
-    p, t = _scale(a, 4)
-    whole = np.floor(p)
-    frac = p - whole
-    n = whole.astype(np.int64)
-    n += (frac > 0.5) | ((frac == 0.5) & ((t > 0) | ((t == 0) & (n % 2 == 1))))
-    return np.concatenate([
-        np.where((v < 0) & (n > 0), ord("-"), 0).astype(np.uint8)[:, None],
-        _int_cells(n // 10**4),
-        np.broadcast_to(np.uint8(ord(".")), (len(v), 1)),
-        _int_cells(n % 10**4 + 10**4)[:, 1:],  # 4 decimals, zeros kept
-    ], axis=1), ~ok
-
-
-def fixed4_strings(v: np.ndarray) -> list[str]:
-    """[_fmt(x) for x in v] for a 1-D float64 array, formatted by _fixed4_cells.
-
-    A value that _fixed4_cells leaves to the fallback is formatted by _fmt.
-    """
-    cells, fallback = _fixed4_cells(v)
-    newline = np.broadcast_to(np.uint8(ord("\n")), (len(v), 1))
-    out = _text(np.concatenate([cells, newline], axis=1)).split("\n")[:-1]
-    for i in np.flatnonzero(fallback).tolist():
-        out[i] = _fmt(v[i].item())
-    return out

@@ -29,6 +29,7 @@ import bisect
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ from .claims import ClaimedPolynomial, DivisorClaims, all_claims, claimed_diviso
 from .config import Config
 from .errors import RangeExhausted, TooFew
 from .quadratics import (
-    MIN_DRIFT_STEPS,
     HalfIntQuadratic,
     Rotation,
     asymptotic_drift,
@@ -316,12 +316,12 @@ def discover_arms(
     directions: dict[int, Rotation] = {}  # family constant -> its first direction
     for direction in (Rotation.POSITIVE, Rotation.NEGATIVE):
         directions.setdefault(fams[direction], direction)
-    early = range(Config.early_drift_lo, Config.early_drift_hi)
     arms: list[Arm] = []
     for A, direction in directions.items():
         for q, numbers in enumerate_family_arms(A, d, table=table, config=config):
             if len(directions) == 1:
-                rot = rotation_of(q, early, table, epsilon=0.0, n_max=config.n_max)
+                early = numbers[Config.early_drift_lo : Config.early_drift_hi + 1]
+                rot = rotation_of(early, table, epsilon=0.0)
             else:
                 rot = direction
             arms.append(Arm(q, d, tuple(numbers), rot))
@@ -649,19 +649,24 @@ def _claim_rows(
         yield claim, result.symmetric and axis_err <= 10.0, detail
 
 
+#: Fewest drift steps a claimed polynomial's rotation window must fit under n_max.
+MIN_DRIFT_STEPS = 5
+
+
 def _rotation_outcome(
     cp: ClaimedPolynomial, table: SpiralTable, cfg: Config
 ) -> tuple[bool | None, str]:
-    """Drift-sign rotation of a claimed polynomial over x = 5 .. 39.
+    """Drift-sign rotation of a claimed polynomial over f(5) .. f(40).
 
-    A window that does not fit under n_max fails; a computed direction
-    other than the published one is flagged, not failed.
+    The window stops before the first number past n_max. A window with fewer
+    than MIN_DRIFT_STEPS steps under n_max fails; a computed direction other
+    than the published one is flagged, not failed.
     """
-    window = range(5, 40)
-    need = max(cp.poly.eval(x + 1) for x in window[:MIN_DRIFT_STEPS])
+    need = max(map(cp.poly.eval, range(6, 6 + MIN_DRIFT_STEPS)))
     if need > cfg.n_max:
-        return False, f"{MIN_DRIFT_STEPS} drift steps from x = {window.start} need n_max >= {need}"
-    computed = rotation_of(cp.poly, window, table, epsilon=Config.drift_epsilon_rad, n_max=cfg.n_max)
+        return False, f"{MIN_DRIFT_STEPS} drift steps from x = 5 need n_max >= {need}"
+    numbers = takewhile(lambda n: n <= cfg.n_max, map(cp.poly.eval, range(5, 41)))
+    computed = rotation_of(list(numbers), table, epsilon=Config.drift_epsilon_rad)
     if computed is cp.rotation_label:
         return True, f"drift-sign rotation {computed.value}"
     return None, f"drift-sign rotation {computed.value} (known equal-A discordance, not a failure)"

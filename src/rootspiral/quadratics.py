@@ -18,10 +18,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooShort
+from .errors import Inconsistent, NotHalfInteger, NotQuadratic, TooShort
 from .spiral import TWO_PI, SpiralTable
 
 
@@ -166,52 +165,28 @@ def divisible_by(q: HalfIntQuadratic, d: int) -> bool:
     return family_residue(q.A, d) == (q.B % (2 * d), q.C % (2 * d))
 
 
-def drift(q: HalfIntQuadratic, x: int, table: SpiralTable) -> float:
-    """Per-step angular slip of the arm: theta(f(x+1)) - theta(f(x)) - 2*pi.
-
-    Asymptotically approaches 2*sqrt(A/2) - 2*pi in the counterclockwise
-    canonical orientation.
-    """
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    n0, n1 = q.eval(x), q.eval(x + 1)
-    return table.angle(n1) - table.angle(n0) - TWO_PI
-
-
 def asymptotic_drift(A: int) -> float:
+    """The per-step drift the arms of family A approach: 2*sqrt(A/2) - 2*pi."""
     return 2.0 * math.sqrt(A / 2.0) - TWO_PI
 
 
-#: Fewest drift steps a rotation window may ask for.
-MIN_DRIFT_STEPS = 5
+def rotation_of(numbers: Sequence[int], table: SpiralTable, epsilon: float) -> Rotation:
+    """Rotation direction of an arm from the mean drift of its consecutive numbers.
 
-
-def rotation_of(
-    q: HalfIntQuadratic,
-    x_range: Iterable[int],
-    table: SpiralTable,
-    epsilon: float,
-    *,
-    n_max: int,
-) -> Rotation:
-    """Rotation direction of the arm from its mean drift over x_range.
-
-    The window is read up to n_max, which the table must cover: it stops
-    before the first step whose far value f(x+1) lies past n_max, and a
-    window with no step left has mean drift 0.
+    A step from a to b drifts theta(b) - theta(a) - 2*pi, read from the
+    table's theta array; fewer than two numbers have mean drift 0. A number
+    outside 1 .. table.n_max raises as SpiralTable.angle does.
 
     Negative mean drift means the arm falls behind the counterclockwise
     spiral, i.e. it curls clockwise relative to the rays -- those arms carry
     the P label (the convention is anchored on the A=18 arms of the
     divisor-2 family, which are labelled positive in the claims table).
     """
-    xs = list(x_range)
-    if len(xs) < MIN_DRIFT_STEPS:
-        raise ValueError(f"x_range must contain at least {MIN_DRIFT_STEPS} steps")
-    if n_max > table.n_max:
-        raise RangeExhausted(f"drift window needs n_max={n_max}, table holds {table.n_max}")
-    steps = list(takewhile(lambda x: q.eval(x + 1) <= n_max, xs))
-    m = sum(drift(q, x, table) for x in steps) / max(len(steps), 1)
+    if numbers:
+        table._check(min(numbers))
+        table._check(max(numbers))
+    theta = table.theta_array[list(numbers)].tolist()
+    m = sum(b - a - TWO_PI for a, b in zip(theta, theta[1:])) / max(len(theta) - 1, 1)
     if abs(m) < epsilon:
         return Rotation.INDETERMINATE
     return Rotation.POSITIVE if m < 0 else Rotation.NEGATIVE

@@ -17,7 +17,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .csvformat import _fmt, fixed4_strings
 from .discovery import Arm, ArmSystem, DivisorReport, square_members
 from .errors import RangeExhausted
 from .spiral import SpiralTable
@@ -39,6 +38,13 @@ ARM_PALETTE = (
     "#862e9c",  # purple
     "#364fc7",  # navy
 )
+
+
+def _fmt(value: float) -> str:
+    """Fixed 4-decimal coordinate formatting; avoids '-0.0000'."""
+    out = f"{value:.4f}"
+    return "0.0000" if out == "-0.0000" else out
+
 
 #: Figure extent: large enough to show every system's inner windings.
 FIGURE_N_MAX = 2000
@@ -79,7 +85,8 @@ class Canvas:
         # Every point of a figure is a ray n <= n_max: format each ray once.
         # px[n], py[n] and point[n] are the coordinates of ray n (index 0 unused).
         _, x, y = table.vertices(1, n_max + 1)
-        coords = fixed4_strings(np.concatenate([centre + scale * x, centre + y_sign * scale * y]))
+        coords = np.concatenate([centre + scale * x, centre + y_sign * scale * y])
+        coords = list(map(_fmt, coords.tolist()))
         self.n_max = n_max
         self.px, self.py = ["", *coords[:n_max]], ["", *coords[n_max:]]
         self.point = list(map(",".join, zip(self.px, self.py)))

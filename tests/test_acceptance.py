@@ -53,7 +53,7 @@ def test_criterion_03_rotation_concordance(table):
         hi = 40
         while cp.poly.eval(hi + 1) > table.n_max:
             hi -= 1
-        got = rotation_of(cp.poly, range(5, hi), table, 0.005, n_max=table.n_max)
+        got = rotation_of([cp.poly.eval(x) for x in range(5, hi + 1)], table, 0.005)
         if got is not cp.rotation_label:
             discordant.append((cp.divisor, cp.label))
     assert sorted(discordant) == [(5, "P1"), (11, "P1"), (17, "N1")]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,16 @@ from hypothesis import strategies as st
 from rootspiral.claims import all_claims, all_polynomials
 from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooShort
 from rootspiral.quadratics import (
-    MIN_DRIFT_STEPS,
     DifferenceTable,
     HalfIntQuadratic,
     Rotation,
     asymptotic_drift,
     difference_table,
     divisible_by,
-    drift,
     fit_quadratic,
     rotation_of,
 )
-from rootspiral.spiral import SpiralTable
+from rootspiral.spiral import TWO_PI, SpiralTable
 
 P1_D2 = HalfIntQuadratic(18, 42, 16)  # 9x^2 + 21x + 8
 
@@ -217,6 +216,17 @@ class TestDivisibility:
             divisible_by(P1_D2, 1)
 
 
+def _drift(q, x, table):
+    """Per-step drift of the arm q at x: theta(f(x+1)) - theta(f(x)) - 2*pi."""
+    theta = table.theta_array
+    return float(theta[q.eval(x + 1)] - theta[q.eval(x)]) - TWO_PI
+
+
+def _window(q, n_max, lo=5, hi=40):
+    """f(lo), f(lo + 1), ... f(hi), up to the first value past n_max."""
+    return list(takewhile(lambda n: n <= n_max, map(q.eval, range(lo, hi + 1))))
+
+
 class TestDrift:
     def test_asymptotes(self):
         assert asymptotic_drift(18) == pytest.approx(6 - 2 * math.pi)
@@ -230,38 +240,42 @@ class TestDrift:
             q = cp.poly
             x = 41 if q == slow else 40
             assert q.eval(x + 1) <= table.n_max
-            assert abs(drift(q, x, table) - asymptotic_drift(q.A)) < 0.02, str(q)
-        assert abs(drift(slow, 40, table) - asymptotic_drift(17)) < 0.021
+            assert abs(_drift(q, x, table) - asymptotic_drift(q.A)) < 0.02, str(q)
+        assert abs(_drift(slow, 40, table) - asymptotic_drift(17)) < 0.021
 
     def test_rotation_examples(self, table):
-        xr = range(5, 40)
         n = table.n_max
-        assert rotation_of(P1_D2, xr, table, 0.005, n_max=n) is Rotation.POSITIVE
-        assert rotation_of(HalfIntQuadratic(20, 28, 4), xr, table, 0.005, n_max=n) is Rotation.NEGATIVE
-        assert rotation_of(HalfIntQuadratic(26, 104, 78), xr, table, 0.005, n_max=n) is Rotation.NEGATIVE
+        assert rotation_of(_window(P1_D2, n), table, 0.005) is Rotation.POSITIVE
+        assert rotation_of(_window(HalfIntQuadratic(20, 28, 4), n), table, 0.005) is Rotation.NEGATIVE
+        assert rotation_of(_window(HalfIntQuadratic(26, 104, 78), n), table, 0.005) is Rotation.NEGATIVE
 
     def test_rotation_window_stops_at_table_end(self):
         small = SpiralTable(1000)
-        steps = [x for x in range(5, 40) if P1_D2.eval(x + 1) <= small.n_max]
-        assert steps == [5, 6, 7, 8]  # f(10) = 1118 is past the table
-        m = sum(drift(P1_D2, x, small) for x in steps) / len(steps)
+        numbers = _window(P1_D2, small.n_max)
+        assert numbers == [P1_D2.eval(x) for x in range(5, 10)]  # f(10) = 1118 is past the table
+        m = sum(_drift(P1_D2, x, small) for x in range(5, 9)) / 4  # steps 5..8
         assert m < -0.005
-        assert rotation_of(P1_D2, range(5, 40), small, 0.005, n_max=small.n_max) is Rotation.POSITIVE
+        assert rotation_of(numbers, small, 0.005) is Rotation.POSITIVE
 
     def test_rotation_window_past_table_end_is_zero_drift(self):
+        """A window with fewer than two numbers has mean drift 0."""
         small = SpiralTable(300)
-        assert P1_D2.eval(11) > small.n_max
-        assert rotation_of(P1_D2, range(10, 40), small, 0.005, n_max=small.n_max) is Rotation.INDETERMINATE
+        assert P1_D2.eval(10) > small.n_max
+        assert _window(P1_D2, small.n_max, lo=10) == []
+        assert rotation_of([], small, 0.005) is Rotation.INDETERMINATE
+        assert rotation_of([P1_D2.eval(0)], small, 0.005) is Rotation.INDETERMINATE
 
     def test_rotation_window_past_table_raises(self):
+        q = HalfIntQuadratic(18, -6, 4)
         with pytest.raises(RangeExhausted):
-            rotation_of(HalfIntQuadratic(18, -6, 4), range(5, 40), SpiralTable(1000), 0.005, n_max=2000)
+            rotation_of(_window(q, 2000), SpiralTable(1000), 0.005)
 
-    def test_rotation_needs_enough_steps(self, table):
+    def test_rotation_number_zero_raises(self, table):
+        """theta[0] is NaN: a 0 raises as SpiralTable.angle(0) does, not read."""
         with pytest.raises(ValueError):
-            rotation_of(P1_D2, range(5, 8), table, 0.005, n_max=table.n_max)
-        xr = range(5, 5 + MIN_DRIFT_STEPS)
-        assert rotation_of(P1_D2, xr, table, 0.005, n_max=table.n_max) is Rotation.POSITIVE
+            rotation_of([0, 18, 42], table, 0.005)
+        with pytest.raises(ValueError):
+            rotation_of([18, 42, -4], table, 0.005)
 
 
 def test_count_times_divisor_equals_second_differential():

@@ -15,10 +15,9 @@ import pytest
 
 from rootspiral.claims import claimed_divisors
 from rootspiral.config import Config
-from rootspiral.csvformat import _fixed4_cells, _fmt, _text, fixed4_strings
 from rootspiral.discovery import discover
 from rootspiral.errors import RangeExhausted
-from rootspiral.render import CANVAS, MARGIN, Canvas, export_report, render_svg
+from rootspiral.render import CANVAS, MARGIN, Canvas, _fmt, export_report, render_svg
 from rootspiral.spiral import SpiralTable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,73 +72,12 @@ def test_plotted_vertices_match_spiral(table, reports):
         assert py == pytest.approx(CANVAS / 2 - scale * y, abs=1e-4)
 
 
-def _fixed4_wrong(values):
-    """The values _fixed4_cells prints unlike _fmt (at most 10), and its fallback flags.
-
-    A flagged value is not compared here: fixed4_strings formats it with _fmt,
-    and fixed4_strings is checked against _fmt on every value.
-    """
-    v = np.array(values, dtype=np.float64)
-    cells, fallback = _fixed4_cells(v)
-    newline = np.full((len(v), 1), ord("\n"), dtype=np.uint8)
-    fast = _text(np.concatenate([cells, newline], axis=1)).split("\n")[:-1]
-    wrong = [(x, t) for x, t, f in zip(v.tolist(), fast, fallback) if not f and t != _fmt(x)]
-    assert fixed4_strings(v) == [_fmt(x) for x in v.tolist()]
-    return wrong[:10], fallback
-
-
-class TestFixed4Formatter:
-    """_fixed4_cells and fixed4_strings print what _fmt prints."""
-
-    def test_seeded_random_doubles(self):
-        rng = np.random.default_rng(20261018)
-        size = 100_000
-        uniform = rng.uniform(-1e6, 1e6, size)
-        sign = rng.choice([-1.0, 1.0], size)
-        spread = sign * (1 + 9 * rng.random(size)) * 10.0 ** rng.integers(-12, 13, size)
-        v = np.concatenate([uniform, spread])
-        wrong, fallback = _fixed4_wrong(v)
-        assert wrong == []
-        assert np.array_equal(fallback, np.abs(v) >= 2**52 / 10**4)
-        assert 0 < fallback.sum() < size // 10
-
-    def test_dyadic_ties_and_their_neighbours(self):
-        """k / 2**j: v * 10**4 is a whole number plus exactly 1/2 for j = 5 and k odd."""
-        rng = np.random.default_rng(5)
-        dyadic = [
-            k / 2.0**j for j in range(13)
-            for k in rng.integers(-(10**11) << j, (10**11) << j, 200).tolist()
-        ]
-        dyadic += [k / 32.0 for k in range(-999, 1000, 2)]
-        near = [math.nextafter(v, d) for v in dyadic for d in (-math.inf, math.inf)]
-        wrong, fallback = _fixed4_wrong(dyadic + near)
-        assert wrong == []
-        assert not fallback.any()
-        assert _fmt(0.03125) == "0.0312" and _fmt(0.09375) == "0.0938"  # ties to even
-
-    def test_values_that_round_to_zero(self):
-        wrong, fallback = _fixed4_wrong([-4e-5, -5e-5, 4e-5, 5e-5, 0.0, -0.0, 5e-324, -5e-324])
-        assert wrong == []
-        assert not fallback.any()
-        assert fixed4_strings(np.array([-4e-5, -5e-5, -0.0])) == ["0.0000", "-0.0001", "0.0000"]
-
-    def test_non_finite_values_fall_back(self):
-        wrong, fallback = _fixed4_wrong([math.nan, math.inf, -math.inf])
-        assert wrong == []
-        assert fallback.all()
-
-    def test_twelve_integer_digits_and_the_bound(self):
-        """Below 2**52 / 10**4 the fast path prints 12 integer digits; from it, _fmt."""
-        bound = 2.0**52 / 1e4  # the double is above the exact bound
-        below = [math.nextafter(bound, 0), math.nextafter(math.nextafter(bound, 0), 0),
-                 169101979193.4035, 123456789012.3456, 99999999999.99995, 100000000000.0]
-        above = [bound, math.nextafter(bound, math.inf), 999999999999.9999, 1e12, 1e13, 1e300]
-        values = below + above
-        values += [-v for v in values]
-        wrong, fallback = _fixed4_wrong(values)
-        assert wrong == []
-        assert fallback.tolist() == [Fraction(abs(v)) * 10**4 >= 2**52 for v in values]
-        assert fixed4_strings(np.array([169101979193.4035])) == ["169101979193.4035"]
+@pytest.mark.parametrize(
+    "value, text",
+    [(-4e-5, "0.0000"), (-5e-5, "-0.0001"), (-0.0, "0.0000"), (0.03125, "0.0312"), (0.09375, "0.0938")],
+)
+def test_fmt_drops_negative_zero_and_rounds_ties_to_even(value, text):
+    assert _fmt(value) == text
 
 
 def test_highlight_multiples(table, reports):

@@ -24,7 +24,6 @@ from rootspiral.csvformat import (
     _EXPONENT,
     _HEAD,
     _float_cells,
-    _text,
     csv_text,
 )
 from rootspiral.errors import RangeExhausted
@@ -378,7 +377,8 @@ def _formatted(values):
     v = np.array(values, dtype=np.float64)
     cells, fallback = _float_cells(v)
     newline = np.full((len(v), 1), ord("\n"), dtype=np.uint8)
-    fast = _text(np.concatenate([cells, newline], axis=1)).split("\n")[:-1]
+    text = np.concatenate([cells, newline], axis=1).tobytes().replace(b"\0", b"").decode("ascii")
+    fast = text.split("\n")[:-1]
     wrong = [(x, t) for x, t, f in zip(v.tolist(), fast, fallback) if not f and t != "%.17e" % x]
     return wrong[:10], fallback
 
