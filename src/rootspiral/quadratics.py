@@ -7,7 +7,8 @@ A spiral-graph is modeled as a half-integer quadratic
 which takes integer values at every integer x exactly when A + B is even
 and C is even. The constant second difference of the values f(0), f(1), ...
 equals A, so the doubled leading coefficient is stored verbatim.
-All arithmetic is exact integer / rational arithmetic; nothing is rounded.
+Polynomial arithmetic is exact integer / rational arithmetic; only the
+drift readers (asymptotic_drift, rotation_of) work in floats.
 """
 
 from __future__ import annotations
