@@ -10,11 +10,20 @@ The terms are summed in blocks of 4096. Inside a block the prefix is a plain
 cumsum; each whole block's sum is computed exactly and rounded once, and the
 block sums are carried with Kahan compensation, so the absolute angle error
 stays below 1e-8 even for tables of 10^7 entries.
+
+A table is built in three phases. The terms, their block sums and the
+in-block prefixes are split among one thread per CPU the process may run on
+(its CPU affinity); the Kahan carry runs over the block sums in order, in the
+calling thread; and the blocks' offsets are added, split as before. Every
+value is computed by the same operations in the same order however the work
+is split, so theta's bits do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import IO
 
@@ -27,8 +36,9 @@ TWO_PI = 2.0 * math.pi
 
 _BLOCK = 4096
 
-#: Terms computed per step of a table build. A multiple of _BLOCK, so every
-#: step but the last ends on a block boundary and hands on its whole sum.
+#: Terms computed per step of a one-worker table build, and the length of
+#: the term and split buffers that a build's workers share out. A multiple of
+#: _BLOCK, so every step but the last ends on a block boundary.
 _GROW_TERMS = 1 << 16
 
 #: Rows formatted per write by SpiralTable.write_csv. Bounds its temporaries:
@@ -85,37 +95,60 @@ def _block_sums(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
     return high + part.sum(axis=1)
 
 
-def _compensated_prefix(
-    terms: np.ndarray, out: np.ndarray, carry: tuple[float, float], scratch: np.ndarray
-) -> tuple[float, float]:
-    """Write running prefix sums of `terms` into `out`.
+def _kahan_offsets(sums: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each block's offset, and the offset past the last block, from the block sums.
 
-    Block-wise: the prefix inside a block comes from a plain cumsum (short,
-    so its rounding is negligible), taken over all blocks at once as the
-    rows of one matrix. Each whole block's exact sum, correctly rounded by
-    _block_sums (its parts held in `scratch`, at least as long as `terms`),
-    advances a Kahan-compensated (sum, correction) pair that carries the
-    running total; each block is offset by the pair's sum before it. Only
-    whole blocks advance the returned carry, so only the last step of a
-    build may end in a partial block.
+    A Kahan-compensated (sum, correction) pair carries the running total
+    over the blocks in order; each block is offset by the pair's sum
+    before it.
     """
-    total, comp = carry
-    whole = len(terms) - len(terms) % _BLOCK
-    rows = terms[:whole].reshape(-1, _BLOCK)
     offsets = []
-    for block_sum in _block_sums(rows, scratch[:whole].reshape(-1, _BLOCK)).tolist():
+    total, comp = 0.0, 0.0
+    for block_sum in sums.tolist():
         offsets.append(total + comp)
         # compensated update of the running block total
         x = block_sum + comp
         t = total + x
         comp = x - (t - total)
         total = t
-    prefix = out[:whole].reshape(-1, _BLOCK)
-    np.cumsum(rows, axis=1, out=prefix)
-    prefix += np.array(offsets)[:, None]
-    np.cumsum(terms[whole:], out=out[whole:])
-    out[whole:] += total + comp
-    return total, comp
+    return np.array(offsets), total + comp
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_split(work, runs: list[tuple[int, int]]) -> None:
+    """Call work(lo, hi) for each run: the first in this thread, each other in a thread of its own.
+
+    Returns once every thread has ended, and then re-raises the exception
+    of the first run, in run order, that raised one.
+    """
+    errors: list[BaseException | None] = [None] * len(runs)
+
+    def call(i: int) -> None:
+        try:
+            work(*runs[i])
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(runs)):
+            thread = threading.Thread(target=call, args=(i,))
+            thread.start()
+            started.append(thread)
+        call(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class SpiralTable:
@@ -131,19 +164,69 @@ class SpiralTable:
         self._build(n_max)
 
     def _build(self, n_max: int) -> None:
+        """Build theta(1) .. theta(n_max) in three phases; the table changes only if all succeed.
+
+        Term i >= 0 is arctan(1 / sqrt(i + 1)) and theta[i + 2] sums terms
+        0 .. i. The terms' 4096-term blocks are split into contiguous runs,
+        one per worker: one worker per CPU this process may run on, but no
+        more than the build has steps of _GROW_TERMS terms, so a one-step
+        table starts no thread. Only phases 1 and 3 are split; numpy's ufuncs
+        release the GIL, so the workers' runs overlap.
+
+        1. Each worker steps through its run. For each step it computes the
+           terms, their exact block sums, and each block's plain cumsum,
+           written into theta.
+        2. The calling thread carries the block sums, in block order, to each
+           block's offset (_kahan_offsets).
+        3. Each worker adds its blocks' offsets; the trailing partial block,
+           if any, gets the offset past the last whole block.
+
+        Each value is computed by the same operations in the same order
+        whatever the split, so theta keeps every bit on any number of
+        workers. The workers share out one term buffer and one split buffer
+        of _GROW_TERMS floats, each worker's step a multiple of _BLOCK, so
+        no step allocates an array of its length.
+        """
+        n_terms = n_max - 1
         theta = np.empty(n_max + 1, dtype=np.float64)
         theta[0] = np.nan
         theta[1] = 0.0
-        # k = lo + steps. One term buffer and one split buffer serve every
-        # step, so no step allocates an array of its length.
-        size = min(_GROW_TERMS, n_max - 1)
-        steps = np.arange(size, dtype=np.float64)
-        terms, scratch = np.empty(size), np.empty(size)
-        carry = (0.0, 0.0)
-        for lo in range(1, n_max, _GROW_TERMS):
-            m = min(_GROW_TERMS, n_max - lo)
-            k = np.add(steps[:m], lo, out=terms[:m])
-            carry = _compensated_prefix(_angle_terms(k), theta[lo + 1:lo + 1 + m], carry, scratch)
+        prefix = theta[2:]
+        workers = min(_workers(), -(-n_terms // _GROW_TERMS))
+        size = max(_BLOCK, _GROW_TERMS // workers // _BLOCK * _BLOCK)
+        blocks = -(-n_terms // _BLOCK)
+        runs = [
+            (w * blocks // workers * _BLOCK, min((w + 1) * blocks // workers * _BLOCK, n_terms))
+            for w in range(workers)
+        ]
+        steps = np.arange(min(size, n_terms), dtype=np.float64)
+        sums = np.empty(n_terms // _BLOCK)
+
+        def block_prefixes(lo: int, hi: int) -> None:
+            # k = a + 1 + steps. One term buffer and one split buffer serve
+            # every step of the run.
+            length = min(size, hi - lo)
+            terms, scratch = np.empty(length), np.empty(length)
+            for a in range(lo, hi, size):
+                m = min(size, hi - a)
+                t = _angle_terms(np.add(steps[:m], a + 1, out=terms[:m]))
+                whole = m - m % _BLOCK  # only the table's last step may end in a partial block
+                rows = t[:whole].reshape(-1, _BLOCK)
+                sums[a // _BLOCK:(a + whole) // _BLOCK] = _block_sums(rows, scratch[:whole].reshape(-1, _BLOCK))
+                # One 1-D cumsum per block: a 2-D one holds the GIL.
+                for row, out in zip(rows, prefix[a:a + whole].reshape(-1, _BLOCK)):
+                    np.add.accumulate(row, out=out)
+                np.add.accumulate(t[whole:], out=prefix[a + whole:a + m])
+
+        def add_offsets(lo: int, hi: int) -> None:
+            whole = min(hi, len(offsets) * _BLOCK)
+            rows = prefix[lo:whole].reshape(-1, _BLOCK)
+            rows += offsets[lo // _BLOCK:whole // _BLOCK, None]
+            prefix[whole:hi] += past_last
+
+        _run_split(block_prefixes, runs)
+        offsets, past_last = _kahan_offsets(sums)
+        _run_split(add_offsets, runs)
         self._theta = theta
         self._n_max = n_max
 

@@ -26,7 +26,7 @@ def test_each_side_runs_from_each_directory_in_half_the_pairs(tmp_path, monkeypa
 
     def fake_run_bench(checkout, workload, seed, seconds):
         seen.append((checkout.name, (checkout / "SIDE").read_text()))
-        return {"metrics": {}}, SimpleNamespace(ru_minflt=0, ru_maxrss=0)
+        return {"metrics": {}}, SimpleNamespace(ru_minflt=0, ru_maxrss=0, ru_utime=0.0, ru_stime=0.0)
 
     monkeypatch.setattr(bench_pair, "run_bench", fake_run_bench)
     runs = bench_pair.run_pairs(tmp_path, ["w1", "w2"], seed=1, seconds=1.0)
@@ -60,9 +60,11 @@ def test_each_run_records_its_process_tree_usage(tmp_path, monkeypatch):
                 stdout.write(line.encode() + b"\n")
 
     def fake_wait4(pid, options):
-        """Reap run `pid`: its tree faults 1000 times its number and peaks at peaks_kb."""
+        """Reap run `pid`: its tree faults 1000 times its number, peaks at peaks_kb,
+        and spends pid seconds of user time and a quarter second of system time."""
         assert (pid, options) == (len(ran), 0)
-        usage = SimpleNamespace(ru_minflt=1000 * pid, ru_maxrss=peaks_kb[(pid - 1) % len(peaks_kb)])
+        usage = SimpleNamespace(ru_minflt=1000 * pid, ru_maxrss=peaks_kb[(pid - 1) % len(peaks_kb)],
+                                ru_utime=float(pid), ru_stime=0.25)
         return pid, (2 << 8 if pid == 3 else 0), usage  # the third exits with status 2
 
     monkeypatch.setattr(bench_pair.subprocess, "Popen", FakePopen)
@@ -70,6 +72,7 @@ def test_each_run_records_its_process_tree_usage(tmp_path, monkeypatch):
     runs = bench_pair.run_pairs(tmp_path, ["w"], seed=1, seconds=1.0)
     assert [r["dir"] for r in runs] == ran and len(runs) == 2 * bench_pair.PAIRS
     assert [r["minor_faults"] for r in runs] == [1000 * (i + 1) for i in range(len(runs))]
+    assert [r["cpu_s"] for r in runs] == [i + 1.25 for i in range(len(runs))]
     # each run reads its own peak, also one below an earlier run's
     assert [r["max_rss_mb"] for r in runs] == [
         peaks_kb[i % len(peaks_kb)] / 1024 for i in range(len(runs))
@@ -107,7 +110,10 @@ def test_in_process_block_alternates_two_drivers(tmp_path, monkeypatch):
     started, closed = [], []
 
     class FakeDriver:
-        """The base takes 10 ms a pass and the change 8 ms, but 12 ms in its passes 3 and 7."""
+        """The base takes 10 ms a pass and the change 8 ms, but 12 ms in its passes 3 and 7.
+
+        The base spends as much CPU time as wall time, the change 14 ms a pass.
+        """
 
         def __init__(self, checkout, workload, seed):
             self.side = next(s for s, root in roots.items() if root == checkout)
@@ -120,7 +126,8 @@ def test_in_process_block_alternates_two_drivers(tmp_path, monkeypatch):
             self.passes += 1
             slow = self.side == "change" and self.passes in (3, 7)
             wall = 0.010 if self.side == "base" else (0.012 if slow else 0.008)
-            return {"wall_s": wall, "correct": True}
+            cpu = 0.010 if self.side == "base" else 0.014
+            return {"wall_s": wall, "cpu_s": cpu, "correct": True}
 
         def close(self):
             closed.append((self.workload, self.side))
@@ -138,6 +145,8 @@ def test_in_process_block_alternates_two_drivers(tmp_path, monkeypatch):
         rows = block[w]
         assert rows["pairs"] == n and rows["change_better_passes"] == n - 2
         assert rows["base"]["median"] == 0.010 and rows["change"]["median"] == 0.008
+        assert rows["cpu"]["base"]["median"] == 0.010 and rows["cpu"]["change"]["median"] == 0.014
+        assert rows["cpu_s"]["change"] == [0.014] * n
         assert rows["wall_s"]["change"][2] == rows["wall_s"]["change"][6] == 0.012
     # a warm-up pass that failed its full check marks its side incorrect
     assert block["w1"]["correct"] == {"base": True, "change": True}
@@ -145,11 +154,13 @@ def test_in_process_block_alternates_two_drivers(tmp_path, monkeypatch):
 
 
 def test_in_process_summary_skips_passes_that_raised():
-    """A pass that raised (wall_s None) counts for neither side."""
+    """A pass that raised (wall_s and cpu_s None) counts for neither side."""
     walls = {"base": [0.01, None, 0.01], "change": [0.02, 0.005, None]}
-    rows = bench_pair.summarize_in_process(walls, {"base": True, "change": False})
+    cpus = {"base": [0.01, None, 0.03], "change": [0.04, 0.01, None]}
+    rows = bench_pair.summarize_in_process(walls, cpus, {"base": True, "change": False})
     assert rows["pairs"] == 1 and rows["change_better_passes"] == 0
     assert rows["base"]["median"] == 0.01 and rows["change"]["median"] == 0.0125
+    assert rows["cpu"]["base"]["median"] == 0.02 and rows["cpu"]["change"]["median"] == 0.025
 
 
 def test_driver_runs_the_checkout_it_starts_in(tmp_path):
@@ -185,4 +196,4 @@ def test_driver_runs_the_checkout_it_starts_in(tmp_path):
         driver.close()
     assert driver.proc.returncode == 0
     assert [r["correct"] for r in results] == [True, False, True]
-    assert all(r["wall_s"] >= 0.0 for r in results)
+    assert all(r["wall_s"] >= 0.0 and r["cpu_s"] >= 0.0 for r in results)

@@ -10,6 +10,7 @@ import random
 import resource
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -18,6 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from rootspiral import spiral
 from rootspiral.csvformat import (
     _CSV_ROW,
     _DIGITS4,
@@ -543,24 +545,133 @@ class TestChunkedBuild:
         allocated its term and split arrays anew for each of its 32 steps
         faulted ~12 000 times, against theta's 4 097 pages.
         """
-        src = Path(__import__("rootspiral").__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", _BUILD_FAULTS, str(2**21)],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        faults, nbytes = map(int, proc.stdout.split())
+        faults, nbytes = _build_faults(2**21)
         assert nbytes == (2**21 + 1) * 8
         assert faults < nbytes / resource.getpagesize() + 1000
 
+    def test_workers_share_out_one_buffer_budget(self):
+        """Four workers fault no more than one: their buffers share one _GROW_TERMS budget.
 
-#: Print the minor page faults of one SpiralTable(argv[1]) build, and theta's bytes.
+        Giving each worker buffers of _GROW_TERMS terms took this build from
+        ~900 to ~2 150 faults.
+        """
+        faults, nbytes = _build_faults(2**21, workers=4)
+        assert nbytes == (2**21 + 1) * 8
+        assert faults < nbytes / resource.getpagesize() + 1000
+
+    # -- builds split among workers ---------------------------------------
+
+    #: SIZES and one whose 81 blocks split unevenly among 2, 3 or 4 workers.
+    WORKER_SIZES = SIZES + (5 * _GROW_TERMS + 7,)
+
+    @pytest.fixture
+    def threads_used(self, monkeypatch):
+        """Set up to record the thread of each build step; yields the set of threads.
+
+        The interpreter switches threads every microsecond meanwhile, so that
+        the workers' Python code interleaves as finely as it can.
+        """
+        used = set()
+        angle_terms = spiral._angle_terms
+
+        def recorded(k):
+            used.add(threading.current_thread())  # held, so never reused as an id can be
+            return angle_terms(k)
+
+        monkeypatch.setattr(spiral, "_angle_terms", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield used
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", WORKER_SIZES)
+    def test_build_is_bitwise_at_each_worker_count(self, n, workers, threads_used, monkeypatch):
+        monkeypatch.setattr(spiral, "_workers", lambda: workers)
+        got = SpiralTable(n).theta_array
+        assert np.array_equal(got.view(np.uint64), _theta_oracle(n).view(np.uint64))
+        # one thread per worker, capped at the build's steps of _GROW_TERMS terms
+        assert len(threads_used) == min(workers, -(-(n - 1) // _GROW_TERMS))
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_ensure_grows_a_threaded_table(self, workers, threads_used, monkeypatch):
+        monkeypatch.setattr(spiral, "_workers", lambda: workers)
+        small, large = 3 * _GROW_TERMS + 5, 5 * _GROW_TERMS + 7
+        table = SpiralTable(small)
+        assert np.array_equal(table.theta_array.view(np.uint64), _theta_oracle(small).view(np.uint64))
+        assert len(threads_used) == workers
+        threads_used.clear()
+        table.ensure(large)
+        assert table.n_max == large
+        assert np.array_equal(table.theta_array.view(np.uint64), _theta_oracle(large).view(np.uint64))
+        assert len(threads_used) == workers
+
+    @pytest.mark.parametrize(
+        "failing_step",
+        [
+            pytest.param(lambda k0: k0 == _GROW_TERMS // 4 + 1, id="second-step-of-the-calling-thread"),
+            pytest.param(lambda k0: k0 > 4 * _GROW_TERMS, id="late-steps-of-the-last-worker"),
+        ],
+    )
+    def test_a_failing_step_fails_the_build(self, failing_step, monkeypatch):
+        """The exception of a step past the first reaches the caller after every worker ends.
+
+        At four workers each step is _GROW_TERMS // 4 terms, and the last of
+        the four runs of a 5 * _GROW_TERMS + 7 build starts at term 245 760.
+        """
+        n = 5 * _GROW_TERMS + 7
+
+        class StepFailed(Exception):
+            pass
+
+        angle_terms = spiral._angle_terms
+
+        def failing(k):
+            if failing_step(k[0]):
+                raise StepFailed(k[0])
+            return angle_terms(k)
+
+        monkeypatch.setattr(spiral, "_workers", lambda: 4)
+        monkeypatch.setattr(spiral, "_angle_terms", failing)
+        before = threading.active_count()
+        with pytest.raises(StepFailed):
+            SpiralTable(n)
+        assert threading.active_count() == before
+        table = SpiralTable(_GROW_TERMS)  # its one step is the build's first
+        kept = table.theta_array
+        with pytest.raises(StepFailed):
+            table.ensure(n)
+        assert threading.active_count() == before
+        assert table.n_max == _GROW_TERMS
+        assert table.theta_array.base is kept.base
+        assert np.array_equal(kept.view(np.uint64), _theta_oracle(_GROW_TERMS).view(np.uint64))
+
+
+def _build_faults(n, workers=None):
+    """The minor page faults of one SpiralTable(n) build in a fresh process, and theta's bytes."""
+    src = Path(spiral.__file__).resolve().parents[1]
+    args = [str(n)] if workers is None else [str(n), str(workers)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILD_FAULTS, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults, nbytes = map(int, proc.stdout.split())
+    return faults, nbytes
+
+
+#: Print the minor page faults of one SpiralTable(argv[1]) build, and theta's
+#: bytes; argv[2], if given, sets the build's worker count.
 _BUILD_FAULTS = """
 import resource, sys
-from rootspiral.spiral import SpiralTable
+from rootspiral import spiral
+if len(sys.argv) > 2:
+    spiral._workers = lambda: int(sys.argv[2])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-table = SpiralTable(int(sys.argv[1]))
+table = spiral.SpiralTable(int(sys.argv[1]))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, table.theta_array.nbytes)
 """
 

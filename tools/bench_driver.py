@@ -11,8 +11,9 @@ one untimed warm-up pass whose output gets the workload's full check, and
 prints "ready". Then it runs one timed pass for each line it reads on
 standard input, each after a full garbage collection and timed around
 `run_pass` alone, and prints one JSON line per pass:
-{"wall_s": seconds, "correct": bool} (wall_s is null for a pass that
-raised). The pass's output is checked against the warm-up's and removed
+{"wall_s": seconds, "cpu_s": seconds, "correct": bool}. cpu_s is the
+process's CPU time over the pass, in all its threads; both times are null
+for a pass that raised. The pass's output is checked against the warm-up's and removed
 outside its timing. The driver exits at the end of its input.
 
 tools/bench_pair.py starts one driver per side and alternates their passes.
@@ -34,13 +35,15 @@ def one_pass(wl, index: int) -> dict:
     from checks import CheckError
 
     gc.collect()
+    cpu0 = time.process_time()
     t0 = time.perf_counter()
     try:
         out = wl.run_pass(index)
     except Exception:
         traceback.print_exc()
-        return {"wall_s": None, "correct": False}
+        return {"wall_s": None, "cpu_s": None, "correct": False}
     wall = time.perf_counter() - t0
+    cpu = time.process_time() - cpu0
     try:
         wl.check(out)
         correct = True
@@ -49,7 +52,7 @@ def one_pass(wl, index: int) -> dict:
         correct = False
     finally:
         wl.discard(out)
-    return {"wall_s": wall, "correct": correct}
+    return {"wall_s": wall, "cpu_s": cpu, "correct": correct}
 
 
 def main(argv=None) -> int:

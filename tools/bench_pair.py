@@ -22,11 +22,12 @@ the two directories (`DIRS`) swap names between pairs as `placement`
 sets out: each side runs from each name in half the pairs, and each run
 record names its directory.
 
-Each run record also holds the minor page faults (`minor_faults`) and the
-peak resident set (`max_rss_mb`) of the run's process tree: `bench/run.py`,
-its set-up probes and its worker. Both come from the resource usage that
-os.wait4 returns as it reaps `bench/run.py`, which covers every process
-that the run itself reaped, so each record reads its own run's peak.
+Each run record also holds the minor page faults (`minor_faults`), the
+peak resident set (`max_rss_mb`) and the CPU time, user plus system
+(`cpu_s`), of the run's process tree: `bench/run.py`, its set-up probes and
+its worker. All three come from the resource usage that os.wait4 returns as
+it reaps `bench/run.py`, which covers every process that the run itself
+reaped, so each record reads its own run's peak.
 
 The output JSON holds every result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs in which
@@ -39,8 +40,9 @@ from its side's root so that it imports that side's `src` and
 passes per side between the two drivers, the base first in even passes,
 after one untimed warm-up pass per side that gets the workload's full
 check. Its summary, under `in_process`, holds each side's median and
-quartiles of `wall_s`, whether every pass of a side was correct, and the
-number of passes in which the working tree was faster. It sees the pass
+quartiles of `wall_s` and, under `cpu`, of the pass's CPU time in all the
+driver's threads, whether every pass of a side was correct, and the number
+of passes in which the working tree was faster. It sees the pass
 alone: none of the start-up, set-up or process noise of a run. Each side
 runs from one directory name there (the base from `a`, the change from `b`).
 """
@@ -134,7 +136,8 @@ def run_pairs(tmp: Path, workloads: list[str], seed: int, seconds: float) -> lis
                 result, usage = run_bench(tmp / at[side], workload, seed, seconds)
                 runs.append({"workload": workload, "pair": pair, "side": side, "dir": at[side],
                              "result": result, "minor_faults": usage.ru_minflt,
-                             "max_rss_mb": usage.ru_maxrss / 1024})
+                             "max_rss_mb": usage.ru_maxrss / 1024,
+                             "cpu_s": usage.ru_utime + usage.ru_stime})
                 print(json.dumps(runs[-1]), flush=True)
     return runs
 
@@ -154,7 +157,7 @@ class Driver:
         self.first_correct = ready == "ready"  # the warm-up pass's full check
 
     def run_pass(self) -> dict:
-        """Time one pass: {"wall_s": seconds or None, "correct": bool}."""
+        """Time one pass: {"wall_s": seconds or None, "cpu_s": seconds or None, "correct": bool}."""
         self.proc.stdin.write("pass\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
@@ -186,38 +189,42 @@ def run_in_process(roots: dict[str, Path], workloads: list[str], seed: int) -> d
             for side in SIDES:
                 drivers[side] = Driver(roots[side], workload, seed)
             walls: dict[str, list] = {side: [] for side in SIDES}
+            cpus: dict[str, list] = {side: [] for side in SIDES}
             correct = {side: drivers[side].first_correct for side in SIDES}
             for i in range(IN_PROCESS_PASSES):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     result = drivers[side].run_pass()
                     walls[side].append(result["wall_s"])
+                    cpus[side].append(result["cpu_s"])
                     correct[side] = correct[side] and result["correct"]
-            block[workload] = summarize_in_process(walls, correct)
+            block[workload] = summarize_in_process(walls, cpus, correct)
         except (RuntimeError, OSError) as exc:
             block[workload] = {"error": str(exc)}
         finally:
             for driver in drivers.values():
                 driver.close()
         print(json.dumps({"in_process": workload, **{k: v for k, v in block[workload].items()
-                                                     if k != "wall_s"}}), flush=True)
+                                                     if k not in ("wall_s", "cpu_s")}}), flush=True)
     return block
 
 
-def summarize_in_process(walls: dict[str, list], correct: dict[str, bool]) -> dict:
-    """Each side's quartiles of wall_s and the passes the change was faster in.
+def summarize_in_process(walls: dict[str, list], cpus: dict[str, list], correct: dict[str, bool]) -> dict:
+    """Each side's quartiles of wall_s and of cpu_s, and the passes the change was faster in.
 
     Pass i of one side is paired with pass i of the other; a pass that
-    raised (wall_s None) counts for neither side.
+    raised (wall_s and cpu_s None) counts for neither side.
     """
     both = [(b, c) for b, c in zip(walls["base"], walls["change"]) if b is not None and c is not None]
-    out: dict = {"passes": IN_PROCESS_PASSES, "correct": correct}
+    out: dict = {"passes": IN_PROCESS_PASSES, "correct": correct, "cpu": {}}
     for side in SIDES:
         done = [w for w in walls[side] if w is not None]
         if done:
             out[side] = quartiles(done)
+            out["cpu"][side] = quartiles([c for c in cpus[side] if c is not None])
     out["pairs"] = len(both)
     out["change_better_passes"] = sum(c < b for b, c in both)
     out["wall_s"] = walls
+    out["cpu_s"] = cpus
     return out
 
 
