@@ -222,14 +222,15 @@ class SpiralTable:
                     np.add.accumulate(row, out=out)
                 np.add.accumulate(t[whole:], out=prefix[a + whole:a + m])
 
+        _run_split(block_prefixes, [(lo, hi, buffer) for (lo, hi), buffer in zip(runs, buffers)])
+        offsets, past_last = _kahan_offsets(sums)
+
         def add_offsets(lo: int, hi: int) -> None:
             whole = min(hi, len(offsets) * _BLOCK)
             rows = prefix[lo:whole].reshape(-1, _BLOCK)
             rows += offsets[lo // _BLOCK:whole // _BLOCK, None]
             prefix[whole:hi] += past_last
 
-        _run_split(block_prefixes, [(lo, hi, buffer) for (lo, hi), buffer in zip(runs, buffers)])
-        offsets, past_last = _kahan_offsets(sums)
         _run_split(add_offsets, runs)
         self._theta = theta
         self._n_max = n_max
