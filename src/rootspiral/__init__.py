@@ -1,22 +1,15 @@
 """Square Root Spiral toolkit: construction, spiral-graph calculus, discovery, rendering."""
 
 from .errors import (
-    Inconsistent,
-    NotHalfInteger,
-    NotQuadratic,
     RangeExhausted,
     RootSpiralError,
     TooFew,
-    TooShort,
     UnknownDivisor,
 )
 from .quadratics import (
-    DifferenceTable,
     HalfIntQuadratic,
     Rotation,
-    difference_table,
     divisible_by,
-    fit_quadratic,
     rotation_of,
 )
 from .config import Config
@@ -43,7 +36,6 @@ __all__ = [
     "AxisSymmetry",
     "ClaimCheck",
     "Config",
-    "DifferenceTable",
     "DivisorReport",
     "axis_symmetry",
     "discover",
@@ -54,20 +46,14 @@ __all__ = [
     "system_spacing",
     "verify_paper_table",
     "HalfIntQuadratic",
-    "Inconsistent",
-    "NotHalfInteger",
-    "NotQuadratic",
     "RangeExhausted",
     "RootSpiralError",
     "Rotation",
     "SpiralPoint",
     "SpiralTable",
     "TooFew",
-    "TooShort",
     "UnknownDivisor",
-    "difference_table",
     "divisible_by",
-    "fit_quadratic",
     "rotation_of",
     "shared_table",
 ]

@@ -71,17 +71,17 @@ class Arm(namedtuple("Arm", "poly divisor members rotation")):
         quantization. Outside the member range the end angle is returned.
         """
         ms = self.members
-        if r_ref <= math.sqrt(ms[0]):
-            return table.angle(ms[0]) % TWO_PI
-        for p, q in zip(ms, ms[1:]):
-            r_q = math.sqrt(q)
-            if r_ref <= r_q:
-                r_p = math.sqrt(p)
-                t = (r_ref - r_p) / (r_q - r_p)
-                ra_p = table.angle(p) % TWO_PI
-                step = _circ_diff(table.angle(q) % TWO_PI, ra_p)  # the arm's local slip
-                return (ra_p + t * step) % TWO_PI
-        return table.angle(ms[-1]) % TWO_PI
+        i = bisect.bisect_left(ms, r_ref, key=math.sqrt)  # members never descend
+        if i == 0:
+            return table.reduced_angle(ms[0])
+        if i == len(ms):
+            return table.reduced_angle(ms[-1])
+        p, q = ms[i - 1], ms[i]
+        r_p, r_q = math.sqrt(p), math.sqrt(q)
+        t = (r_ref - r_p) / (r_q - r_p)
+        ra_p = table.reduced_angle(p)
+        step = _circ_diff(table.reduced_angle(q), ra_p)  # the arm's local slip
+        return (ra_p + t * step) % TWO_PI
 
     @property
     def vertex_value(self) -> float:

@@ -9,24 +9,8 @@ class RangeExhausted(RootSpiralError):
     """An operation needed spiral data beyond the built table."""
 
 
-class TooShort(RootSpiralError):
-    """A sequence was too short for the requested difference calculus."""
-
-
 class TooFew(RootSpiralError):
     """Not enough systems for a spacing computation."""
-
-
-class NotHalfInteger(RootSpiralError):
-    """Interpolated coefficients are not half-integers."""
-
-
-class NotQuadratic(RootSpiralError):
-    """The leading coefficient of an interpolation vanished (or is negative)."""
-
-
-class Inconsistent(RootSpiralError):
-    """A point beyond the interpolation triple deviates from the fitted polynomial."""
 
 
 class UnknownDivisor(RootSpiralError):

@@ -1,4 +1,4 @@
-"""Exact calculus of spiral-graph polynomials.
+"""Spiral-graph polynomials: exact values, divisibility and drift.
 
 A spiral-graph is modeled as a half-integer quadratic
 
@@ -7,8 +7,8 @@ A spiral-graph is modeled as a half-integer quadratic
 which takes integer values at every integer x exactly when A + B is even
 and C is even. The constant second difference of the values f(0), f(1), ...
 equals A, so the doubled leading coefficient is stored verbatim.
-Polynomial arithmetic is exact integer / rational arithmetic; only the
-drift readers (asymptotic_drift, rotation_of) work in floats.
+Values and divisibility are exact integer arithmetic; only the drift
+readers (asymptotic_drift, rotation_of) work in floats.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import Inconsistent, NotHalfInteger, NotQuadratic, TooShort
 from .spiral import TWO_PI, SpiralTable
 
 
@@ -83,65 +80,6 @@ class HalfIntQuadratic(namedtuple("HalfIntQuadratic", "A B C")):
     @classmethod
     def from_json(cls, obj: dict) -> "HalfIntQuadratic":
         return cls(int(obj["A"]), int(obj["B"]), int(obj["C"]))
-
-
-@dataclass(frozen=True)
-class DifferenceTable:
-    values: tuple[int, ...]
-    first_differences: tuple[int, ...]
-    second_differences: tuple[int, ...]
-
-    @property
-    def constant_second(self) -> bool:
-        s = self.second_differences
-        return all(v == s[0] for v in s)
-
-
-def difference_table(values: Sequence[int]) -> DifferenceTable:
-    """Two levels of pairwise differences of an integer sequence."""
-    if len(values) < 3:
-        raise TooShort(f"need at least 3 values, got {len(values)}")
-    vals = tuple(int(v) for v in values)
-    first = tuple(b - a for a, b in zip(vals, vals[1:]))
-    second = tuple(b - a for a, b in zip(first, first[1:]))
-    return DifferenceTable(vals, first, second)
-
-
-def fit_quadratic(points: Sequence[tuple[int, int]]) -> HalfIntQuadratic:
-    """Exact quadratic through the first three points, verified on the rest.
-
-    Raises NotQuadratic if the leading coefficient is zero (or negative),
-    NotHalfInteger if the doubled coefficients are not integers, and
-    Inconsistent if any later point deviates from the interpolant.
-    """
-    if len(points) < 3:
-        raise TooShort(f"need at least 3 points, got {len(points)}")
-    (x0, y0), (x1, y1), (x2, y2) = points[:3]
-    if len({x0, x1, x2}) != 3:
-        raise ValueError("interpolation abscissae must be distinct")
-    # Newton divided differences, exact
-    d01 = Fraction(y1 - y0, x1 - x0)
-    d12 = Fraction(y2 - y1, x2 - x1)
-    a = (d12 - d01) / (x2 - x0)
-    b = d01 - a * (x0 + x1)
-    c = y0 - (a * x0 + b) * x0
-    if a == 0:
-        raise NotQuadratic("second differences vanish (a = 0)")
-    if a < 0:
-        raise NotQuadratic(f"leading coefficient a={a} is negative; arms open outward")
-    doubled = [2 * a, 2 * b, 2 * c]
-    if any(v.denominator != 1 for v in doubled):
-        raise NotHalfInteger(f"coefficients ({a}, {b}, {c}) are not half-integers")
-    A, B, C = (int(v) for v in doubled)
-    if (A + B) % 2 != 0 or C % 2 != 0:
-        raise NotHalfInteger(
-            f"(A={A}, B={B}, C={C}) does not take integer values on all integers"
-        )
-    q = HalfIntQuadratic(A, B, C)
-    for x, y in points[3:]:
-        if q.eval(x) != y:
-            raise Inconsistent(f"point ({x}, {y}) deviates from {q} = {q.eval(x)}")
-    return q
 
 
 def family_residue(A: int, d: int) -> tuple[int, int] | None:

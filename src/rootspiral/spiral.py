@@ -65,7 +65,7 @@ def _angle_terms(k: np.ndarray) -> np.ndarray:
     return np.arctan(k, out=k)
 
 
-def _block_sums(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _block_sums(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row, bit-equal to math.fsum(row).
 
     Each term t of a row is split exactly as t = h + l, with h = (t + c) - c
@@ -83,8 +83,7 @@ def _block_sums(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
     this with room to spare: the widest spread is block 1 (k = 1..4096),
     whose terms span a ratio of about 50 (6 bits).
 
-    The parts are held in `scratch`, an array of the shape of `rows`, or in
-    a new one when it is None.
+    The parts are held in `scratch`, an array of the shape of `rows`.
     """
     _, e = np.frexp(rows.max(axis=1))
     c = np.ldexp(1.5, e + 11)[:, None]

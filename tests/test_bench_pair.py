@@ -103,6 +103,21 @@ def test_summarize_counts_ties_for_neither_side(better):
     assert (change["change_better_pairs"], base["change_better_pairs"]) == wins
 
 
+def test_summarize_marks_a_workload_with_failed_runs_incorrect():
+    """Change runs that all failed make the workload incorrect, and are counted per side."""
+    runs = _runs([(1.0, 1.0)] * 3)
+    for r in runs:
+        if r["side"] == "change":
+            r["result"] = {"returncode": 1}
+    rows = bench_pair.summarize(runs, METRICS)["w"]
+    assert rows == {"all_correct": False, "failed_runs": {"base": 0, "change": 3}}
+    runs[1]["result"] = _runs([(1.0, 1.0)])[1]["result"]
+    rows = bench_pair.summarize(runs, METRICS)["w"]
+    assert rows["all_correct"] is False and rows["failed_runs"] == {"base": 0, "change": 2}
+    assert rows["wall_s"]["pairs"] == 1
+    assert bench_pair.summarize(_runs([(1.0, 1.0)] * 3), METRICS)["w"]["all_correct"] is True
+
+
 def test_in_process_block_alternates_two_drivers(tmp_path, monkeypatch):
     """One driver per side and workload, started in its side's root; passes alternate."""
     roots = {side: tmp_path / name for side, name in zip(bench_pair.SIDES, bench_pair.DIRS)}

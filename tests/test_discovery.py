@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootspiral import discovery
 from rootspiral.claims import all_claims, claims_for
@@ -28,14 +30,13 @@ from rootspiral.discovery import (
     system_spacing,
     verify_paper_table,
 )
-from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooFew
+from rootspiral.errors import RangeExhausted, TooFew
 from rootspiral.quadratics import (
     HalfIntQuadratic,
     Rotation,
     asymptotic_drift,
     divisible_by,
     family_residue,
-    fit_quadratic,
 )
 from rootspiral.render import export_report
 from rootspiral.spiral import TWO_PI, SpiralTable
@@ -94,17 +95,27 @@ def _link_chains(numbers, table, angular_tol=0.35, settle_winding=2):
     return chains
 
 
+def _fit_chain(values):
+    """The quadratic f with f(x) = values[x] for every x, or None if none has A > 0.
+
+    It is fitted at x = 0, 1, 2: A is the second difference, B = 2*(y1 - y0) - A
+    and C = 2*y0. On consecutive integers A + B and C are always even, so
+    every integer chain fits a half-integer quadratic or none.
+    """
+    y0, y1, y2 = values[:3]
+    a = y2 - 2 * y1 + y0
+    if a <= 0:
+        return None
+    q = HalfIntQuadratic(a, 2 * (y1 - y0) - a, 2 * y0)
+    return q if all(q.eval(x) == y for x, y in enumerate(values)) else None
+
+
 def _chains_to_polys(chains, d, min_len=5):
     """Canonical polynomials of the chains that fit a quadratic divisible by d."""
     polys = []
     for chain in chains:
-        if len(chain) < min_len:
-            continue
-        try:
-            q = fit_quadratic(list(enumerate(chain)))
-        except (NotQuadratic, NotHalfInteger, Inconsistent):
-            continue
-        if divisible_by(q, d):
+        q = _fit_chain(chain) if len(chain) >= min_len else None
+        if q is not None and divisible_by(q, d):
             polys.append(canonical_shift(q))
     return polys
 
@@ -150,6 +161,18 @@ class TestChainsToArms:
     def test_short_chain_discarded(self):
         q = HalfIntQuadratic(18, 42, 16)
         assert _chains_to_polys([[q.eval(x) for x in range(4)]], 2) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(min_value=1, max_value=60),
+        b=st.integers(min_value=-200, max_value=200),
+        c=st.integers(min_value=0, max_value=200),
+    )
+    def test_fit_round_trip_property(self, a, b, c):
+        if (a + b) % 2:
+            b += 1
+        q = HalfIntQuadratic(a, b, 2 * c)
+        assert _fit_chain([q.eval(x) for x in range(6)]) == q
 
     def test_arm_invariants(self, table):
         """A discovered arm is its polynomial's values, one winding apart once settled."""
@@ -472,6 +495,35 @@ class TestSystems:
         assert system.label == "P1"
         assert system.arms == (arm,)
         assert system.anchor_angle == arm.angle_at_radius(math.sqrt(members[-1]), table)
+
+    def test_anchor_at_any_radius_matches_the_scan(self, reports, table):
+        """angle_at_radius is bit-equal to a linear scan of the members, at any radius.
+
+        Radii: each member's own, the midpoints between neighbours, below
+        the first member and past the last, on every arm of the claimed
+        divisors and d = 23, plateau arms (f(0) = f(1)) included.
+        """
+
+        def scan(members, r_ref):
+            if r_ref <= math.sqrt(members[0]):
+                return table.angle(members[0]) % TWO_PI
+            for p, q in zip(members, members[1:]):
+                r_q = math.sqrt(q)
+                if r_ref <= r_q:
+                    r_p = math.sqrt(p)
+                    t = (r_ref - r_p) / (r_q - r_p)
+                    ra_p = table.angle(p) % TWO_PI
+                    return (ra_p + t * _circ_diff(table.angle(q) % TWO_PI, ra_p)) % TWO_PI
+            return table.angle(members[-1]) % TWO_PI
+
+        d23 = discover(23, table=table)
+        arms = [a for rep in (*reports.values(), d23) for s in rep.systems for a in s.arms]
+        assert any(a.members[0] == a.members[1] for a in arms)
+        for arm in arms:
+            own = [math.sqrt(n) for n in arm.members]
+            radii = own + [(lo + hi) / 2 for lo, hi in zip(own, own[1:])] + [own[0] / 2, own[-1] + 1.0]
+            got = [arm.angle_at_radius(r, table) for r in radii]
+            assert got == [scan(arm.members, r) for r in radii], str(arm.poly)
 
     def test_residue_classes_are_far_apart_in_phase(self):
         """Grouping by residue class reproduces the goldens' phase clustering.

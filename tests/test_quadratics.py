@@ -1,4 +1,4 @@
-"""Arm polynomial calculus: evaluation, differences, fitting, divisibility, drift."""
+"""Arm polynomial calculus: evaluation, second differences, divisibility, drift."""
 
 from __future__ import annotations
 
@@ -7,19 +7,14 @@ import random
 from itertools import takewhile
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rootspiral.claims import all_claims, all_polynomials
-from rootspiral.errors import Inconsistent, NotHalfInteger, NotQuadratic, RangeExhausted, TooShort
+from rootspiral.errors import RangeExhausted
 from rootspiral.quadratics import (
-    DifferenceTable,
     HalfIntQuadratic,
     Rotation,
     asymptotic_drift,
-    difference_table,
     divisible_by,
-    fit_quadratic,
     rotation_of,
 )
 from rootspiral.spiral import TWO_PI, SpiralTable
@@ -88,28 +83,23 @@ class TestHalfIntQuadratic:
         assert HalfIntQuadratic.from_json(blob) == q
 
 
+def _second_differences(values):
+    return [a - 2 * b + c for a, b, c in zip(values, values[1:], values[2:])]
+
+
 class TestDifferences:
+    """The paper's "second differential": the values' second difference equals A."""
+
     def test_fig_style_example(self):
-        dt = difference_table([8, 38, 86])
-        assert dt.first_differences == (30, 48)
-        assert dt.second_differences == (18,)
-        assert dt.constant_second
-
-    def test_constant_sequence(self):
-        dt = difference_table([7, 7, 7, 7])
-        assert dt.first_differences == (0, 0, 0)
-        assert dt.second_differences == (0, 0)
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            difference_table([1, 2])
+        values = [P1_D2.eval(x) for x in range(3)]
+        assert values == [8, 38, 86]
+        assert [b - a for a, b in zip(values, values[1:])] == [30, 48]
+        assert _second_differences(values) == [18]
 
     def test_second_differential_equals_table(self):
         for q in (P1_D2, HalfIntQuadratic(20, 28, 4), HalfIntQuadratic(13, 13, 52)):
             values = [q.eval(x) for x in range(51)]
-            dt = difference_table(values)
-            assert dt.constant_second
-            assert set(dt.second_differences) == {q.second_differential}
+            assert set(_second_differences(values)) == {q.second_differential}
 
     def test_second_differential_values(self):
         assert P1_D2.second_differential == 18
@@ -118,53 +108,7 @@ class TestDifferences:
 
     def test_eval_brute_constant_second(self):
         q = HalfIntQuadratic(22, 88, 44)  # 11x^2 + 44x + 22
-        vals = [q.eval(x) for x in range(6)]
-        dt = difference_table(vals)
-        assert set(dt.second_differences) == {22}
-
-
-class TestFit:
-    def test_fit_example(self):
-        q = fit_quadratic([(0, 8), (1, 38), (2, 86)])
-        assert q == P1_D2
-
-    def test_fit_constant_raises(self):
-        with pytest.raises(NotQuadratic):
-            fit_quadratic([(0, 5), (1, 5), (2, 5)])
-
-    def test_fit_linear_raises(self):
-        with pytest.raises(NotQuadratic):
-            fit_quadratic([(0, 1), (1, 3), (2, 5)])
-
-    def test_fit_round_trip_with_offset_abscissae(self):
-        q = HalfIntQuadratic(26, 104, 78)  # 13x^2 + 52x + 39
-        pts = [(x, q.eval(x)) for x in range(5)]
-        assert fit_quadratic(pts) == q
-
-    def test_fit_inconsistent(self):
-        q = HalfIntQuadratic(26, 104, 78)
-        pts = [(x, q.eval(x)) for x in range(5)]
-        pts[4] = (4, pts[4][1] + 1)
-        with pytest.raises(Inconsistent):
-            fit_quadratic(pts)
-
-    def test_fit_not_half_integer(self):
-        with pytest.raises(NotHalfInteger):
-            fit_quadratic([(0, 0), (3, 1), (6, 3)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a=st.integers(min_value=1, max_value=60),
-        b=st.integers(min_value=-200, max_value=200),
-        c=st.integers(min_value=0, max_value=200),
-        x0=st.integers(min_value=-20, max_value=20),
-    )
-    def test_fit_round_trip_property(self, a, b, c, x0):
-        if (a + b) % 2:
-            b += 1
-        q = HalfIntQuadratic(a, b, 2 * c)
-        pts = [(x, q.eval(x)) for x in range(x0, x0 + 6)]
-        assert fit_quadratic(pts) == q
+        assert _second_differences([q.eval(x) for x in range(6)]) == [22] * 4
 
 
 class TestDivisibility:

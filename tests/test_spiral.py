@@ -745,7 +745,7 @@ class TestBlockSums:
         mantissa = rng.integers(2**52, 2**53, size=(rows, _BLOCK)).astype(np.float64)
         x = np.ldexp(mantissa, e - 53)  # full 53-bit mantissas, frexp exponent e
         assert np.all(x > 0) and np.all(_exponent_spread(x) == spread)
-        got = _block_sums(x)
+        got = _block_sums(x, np.empty_like(x))
         assert np.array_equal(got.view(np.uint64), _fsum_rows(x).view(np.uint64))
 
     @pytest.mark.parametrize(
@@ -773,7 +773,7 @@ class TestBlockSums:
                 assert int(nearest) + int(toward) == 2 * target
             assert (int(nearest) > target) == rounds.endswith("up")
             x = np.ldexp(m, scale)[None]
-            assert _block_sums(x)[0] == math.fsum(x[0]) == math.ldexp(nearest, scale)
+            assert _block_sums(x, np.empty_like(x))[0] == math.fsum(x[0]) == math.ldexp(nearest, scale)
 
     @pytest.mark.parametrize("low", [2**40, 2**42])
     @pytest.mark.parametrize("off_tie", [-1, 1])
@@ -796,7 +796,7 @@ class TestBlockSums:
             assert total % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
             x = np.ldexp(np.array(m, dtype=np.float64), -82)[None]
             assert _exponent_spread(x)[0] == 29
-            assert _block_sums(x)[0] == math.fsum(x[0]) == math.ldexp(float(total), -82)
+            assert _block_sums(x, np.empty_like(x))[0] == math.fsum(x[0]) == math.ldexp(float(total), -82)
 
     def test_real_blocks_of_a_1e7_build(self):
         terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
@@ -804,6 +804,6 @@ class TestBlockSums:
         assert len(rows) == 2441
         spread = _exponent_spread(rows)
         assert spread[0] == spread.max() == 6  # block 1 is the widest, far inside 29
-        assert _block_sums(rows[:1])[0] == math.fsum(terms[:_BLOCK])
-        got = _block_sums(rows)
+        assert _block_sums(rows[:1], np.empty_like(rows[:1]))[0] == math.fsum(terms[:_BLOCK])
+        got = _block_sums(rows, np.empty_like(rows))
         assert np.array_equal(got.view(np.uint64), _fsum_rows(rows).view(np.uint64))

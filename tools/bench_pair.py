@@ -236,12 +236,22 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: each side's quartiles and the pairs the change won."""
+    """Per workload and metric: each side's quartiles and the pairs the change won.
+
+    A workload is all correct only if every run of it gave a result and each
+    result is correct with no failed operation; `failed_runs` counts each
+    side's runs without a result. A metric that only one side reports has no row.
+    """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        done = [r for r in runs if r["workload"] == workload and "metrics" in r["result"]]
-        rows: dict = {"all_correct": bool(done) and all(
-            r["result"]["correct"] is True and r["result"]["failed"] == 0 for r in done)}
+        ours = [r for r in runs if r["workload"] == workload]
+        done = [r for r in ours if "metrics" in r["result"]]
+        rows: dict = {
+            "all_correct": len(done) == len(ours) and all(
+                r["result"]["correct"] is True and r["result"]["failed"] == 0 for r in done),
+            "failed_runs": {s: sum(r["side"] == s and "metrics" not in r["result"] for r in ours)
+                            for s in SIDES},
+        }
         for m in metrics:
             name, sign = m["name"], (1 if m["better"] == "lower" else -1)
             value = {s: {r["pair"]: r["result"]["metrics"][name]["value"]
