@@ -9,7 +9,11 @@ Angles are kept unwrapped; reduction mod 2*pi happens only at presentation.
 The terms are summed in blocks of 4096. Inside a block the prefix is a plain
 cumsum; each whole block's sum is computed exactly and rounded once, and the
 block sums are carried with Kahan compensation, so the absolute angle error
-stays below 1e-8 even for tables of 10^7 entries.
+stays below 1e-8 even for tables of 10^7 entries. Blocks are worked on in
+pairs: a pair's terms are interleaved as the real and imaginary parts of one
+complex128 array, and as a complex addition is two float64 additions, its
+one cumsum is the two blocks' cumsums, bit for bit, with two dependency
+chains in flight.
 
 A table is built in three phases. The terms, their block sums and the
 in-block prefixes are split among one thread per CPU the process may run on
@@ -36,9 +40,14 @@ TWO_PI = 2.0 * math.pi
 
 _BLOCK = 4096
 
+#: Terms in a pair of blocks, interleaved in a table build's term buffer.
+_PAIR = 2 * _BLOCK
+
 #: Terms computed per step of a one-worker table build, and the length of
 #: the term and split buffers that a build's workers share out. A multiple of
-#: _BLOCK, so every step but the last ends on a block boundary.
+#: _PAIR: at up to 8 workers every step but the last of a worker's run is
+#: whole pairs of blocks. A run's last step may end in an odd whole block,
+#: and the table's last step in a partial block.
 _GROW_TERMS = 1 << 16
 
 #: Rows formatted per write by SpiralTable.write_csv. Bounds its temporaries:
@@ -92,6 +101,38 @@ def _block_sums(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     high = part.sum(axis=1)
     np.subtract(rows, part, out=part)  # the low parts l = t - h
     return high + part.sum(axis=1)
+
+
+def _pair_sums(pairs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Correctly rounded sums of blocks laid out as pairs, bit-equal to math.fsum of each block.
+
+    `pairs` is a complex128 array of shape (P, 4096) whose row p holds the
+    blocks 2p and 2p + 1 interleaved: term i of block 2p + l is lane l
+    (real part l = 0, imaginary part l = 1) of element i. Returns the 2P
+    block sums in block order, as float64.
+
+    Each block is split as in _block_sums, with E the binary exponent of
+    its first term plus one, so c = 1.5 * 2**(E + 11); each complex
+    addition is the two IEEE float64 additions of the two lanes. The split
+    is exact when the terms are positive and finite (below 2**1011), and in
+    each block every term is below 2**E, twice the power of two above the
+    first term, and the binary exponent of the smallest term is at most 28
+    below the first term's. Then E exceeds it by at most 29, as _block_sums
+    requires of its largest term's. That reads one term a block, takes no
+    maximum, and does not rest on the block's computed terms decreasing.
+    Blocks of arctan(1/sqrt(k)) meet it with room to spare: the smallest
+    term of block 1 is 6 binades below its first, that of a later block at
+    most 1.
+
+    The parts are held in `scratch`, an array of the shape of `pairs`.
+    """
+    _, e = np.frexp(pairs.view(np.float64)[:, :2])  # each lane's first term
+    c = np.ldexp(6144.0, e).view(np.complex128)  # 1.5 * 2**(e + 12)
+    part = np.add(pairs, c, out=scratch)
+    part -= c  # the high parts h
+    high = part.sum(axis=1)
+    np.subtract(pairs, part, out=part)  # the low parts l = t - h
+    return (high + part.sum(axis=1)).view(np.float64)
 
 
 def _kahan_offsets(sums: np.ndarray) -> tuple[np.ndarray, float]:
@@ -174,7 +215,13 @@ class SpiralTable:
 
         1. Each worker steps through its run. For each step it computes the
            terms, their exact block sums, and each block's plain cumsum,
-           written into theta.
+           written into theta. A step's whole pairs of blocks are laid out
+           interleaved in its term buffer, as `steps` orders the terms: the
+           pair sums come from _pair_sums, and each pair's cumsum is one
+           complex accumulate into the split buffer, then copied out to
+           theta in block order. The blocks past a step's last pair, a
+           run's odd block and the table's partial block, are laid out in
+           order, summed by _block_sums and cumsummed one by one.
         2. The calling thread carries the block sums, in block order, to each
            block's offset (_kahan_offsets).
         3. Each worker adds its blocks' offsets; the trailing partial block,
@@ -183,8 +230,8 @@ class SpiralTable:
         Each value is computed by the same operations in the same order
         whatever the split, so theta keeps every bit on any number of
         workers. The workers share out one term buffer and one split buffer
-        of _GROW_TERMS floats, each worker's step a multiple of _BLOCK, so
-        no step allocates an array of its length.
+        of _GROW_TERMS floats, each worker's step a multiple of _PAIR (of
+        _BLOCK past 8 workers), so no step allocates an array of its length.
         """
         n_terms = n_max - 1
         theta = np.empty(n_max + 1, dtype=np.float64)
@@ -192,34 +239,50 @@ class SpiralTable:
         theta[1] = 0.0
         prefix = theta[2:]
         workers = min(_workers(), -(-n_terms // _GROW_TERMS))
-        size = max(_BLOCK, _GROW_TERMS // workers // _BLOCK * _BLOCK)
+        size = max(_BLOCK, _GROW_TERMS // workers // _PAIR * _PAIR)
         blocks = -(-n_terms // _BLOCK)
         runs = [
             (w * blocks // workers * _BLOCK, min((w + 1) * blocks // workers * _BLOCK, n_terms))
             for w in range(workers)
         ]
-        steps = np.arange(min(size, n_terms), dtype=np.float64)
+        in_block = np.arange(_BLOCK, dtype=np.float64)  # a block's term offsets
+        # A step's term offsets, its whole pairs of blocks interleaved:
+        # pair p, term i, lane l holds the offset (2p + l) * _BLOCK + i.
+        length = min(size, n_terms)
+        steps = (np.arange(0.0, length - length % _PAIR, _BLOCK).reshape(-1, 1, 2) + in_block[:, None]).ravel()
         # One allocation holds every worker's term and split buffers. Freeing
         # one 1 MB block keeps glibc's mmap threshold above the temporaries
         # of a later CSV export's chunks; one block per worker took a 300 000
         # row `spiral` command from ~22 000 to ~26 600 page faults.
-        buffers = np.empty((workers, 2, len(steps)))
+        buffers = np.empty((workers, 2, length))
         sums = np.empty(n_terms // _BLOCK)
 
         def block_prefixes(lo: int, hi: int, buffer: np.ndarray) -> None:
-            # k = a + 1 + steps. The worker's term buffer and split buffer
+            # k = a + 1 + offset. The worker's term buffer and split buffer
             # serve every step of its run.
             terms, scratch = buffer
             for a in range(lo, hi, size):
                 m = min(size, hi - a)
-                t = _angle_terms(np.add(steps[:m], a + 1, out=terms[:m]))
-                whole = m - m % _BLOCK  # only the table's last step may end in a partial block
-                rows = t[:whole].reshape(-1, _BLOCK)
-                sums[a // _BLOCK:(a + whole) // _BLOCK] = _block_sums(rows, scratch[:whole].reshape(-1, _BLOCK))
-                # One 1-D cumsum per block: a 2-D one holds the GIL.
-                for row, out in zip(rows, prefix[a:a + whole].reshape(-1, _BLOCK)):
-                    np.add.accumulate(row, out=out)
-                np.add.accumulate(t[whole:], out=prefix[a + whole:a + m])
+                two = m - m % _PAIR
+                # Only a run's last step has blocks past its pairs: an odd
+                # whole block, and the table's partial block.
+                tail = [(b, min(b + _BLOCK, m)) for b in range(two, m, _BLOCK)]
+                np.add(steps[:two], a + 1, out=terms[:two])
+                for b, e in tail:
+                    np.add(in_block[:e - b], a + 1 + b, out=terms[b:e])
+                t = _angle_terms(terms[:m])
+                pairs = t[:two].view(np.complex128).reshape(-1, _BLOCK)
+                split = scratch[:two].view(np.complex128).reshape(-1, _BLOCK)
+                sums[a // _BLOCK:(a + two) // _BLOCK] = _pair_sums(pairs, split)
+                # One 1-D cumsum per pair, each complex add two float64 adds
+                # (a 2-D one holds the GIL), copied out to theta in cache.
+                for pair, out in zip(pairs, split):
+                    np.add.accumulate(pair, out=out)
+                prefix[a:a + two].reshape(-1, 2, _BLOCK)[...] = scratch[:two].reshape(-1, _BLOCK, 2).transpose(0, 2, 1)
+                for b, e in tail:
+                    if e - b == _BLOCK:
+                        sums[(a + b) // _BLOCK] = _block_sums(t[None, b:e], scratch[None, b:e])[0]
+                    np.add.accumulate(t[b:e], out=prefix[a + b:a + e])
 
         _run_split(block_prefixes, [(lo, hi, buffer) for (lo, hi), buffer in zip(runs, buffers)])
         offsets, past_last = _kahan_offsets(sums)
@@ -309,7 +372,7 @@ class SpiralTable:
         """Smallest m with theta(m) >= theta(n) + 2*pi."""
         self._check(n)
         target = self._theta[n] + TWO_PI
-        m = int(np.searchsorted(self._theta[1:], target, side="left")) + 1
+        m = int(self._theta[1:].searchsorted(target, side="left")) + 1
         if m > self._n_max:
             raise RangeExhausted(
                 f"no ray with angle >= theta({n}) + 2*pi inside the table (n_max={self._n_max})"

@@ -37,6 +37,7 @@ from rootspiral.spiral import (
     SpiralTable,
     _angle_terms,
     _block_sums,
+    _pair_sums,
     shared_table,
 )
 
@@ -119,6 +120,26 @@ def test_next_turn_index(table):
     m = table.next_turn_index(100)
     assert table.angle(m) >= table.angle(100) + TWO_PI
     assert table.angle(m - 1) < table.angle(100) + TWO_PI
+
+
+def test_next_turn_index_matches_np_searchsorted(table_1e7):
+    """The ndarray method finds the index np.searchsorted does, also for a target equal to a theta value."""
+    theta = table_1e7._theta
+
+    def want(n):
+        return int(np.searchsorted(theta[1:], theta[n] + TWO_PI, side="left")) + 1
+
+    rng = random.Random(28)
+    ns = [rng.randrange(1, 10**7 - 40_000) for _ in range(2000)]
+    assert [table_1e7.next_turn_index(n) for n in ns] == [want(n) for n in ns]
+    for n in ns[:100]:
+        m = want(n)
+        kept = theta[m]
+        theta[m] = theta[n] + TWO_PI  # still above theta[m - 1]: theta stays increasing
+        try:
+            assert table_1e7.next_turn_index(n) == want(n) == m
+        finally:
+            theta[m] = kept
 
 
 def test_winding_gap_values(table):
@@ -561,8 +582,12 @@ class TestChunkedBuild:
 
     # -- builds split among workers ---------------------------------------
 
-    #: SIZES and one whose 81 blocks split unevenly among 2, 3 or 4 workers.
-    WORKER_SIZES = SIZES + (5 * _GROW_TERMS + 7,)
+    #: SIZES; one whose 81 blocks split unevenly among 2 to 5 workers; and
+    #: tables and runs that end in an odd whole block past their last pair,
+    #: with and without a partial block: one pair and an odd block; one
+    #: block and a partial one; and 16 + 3 blocks and a partial one, which
+    #: at two workers split 10 and 9 + 1.
+    WORKER_SIZES = SIZES + (5 * _GROW_TERMS + 7, 3 * _BLOCK + 1, _BLOCK + 2, _GROW_TERMS + 3 * _BLOCK + 2)
 
     @pytest.fixture
     def threads_used(self, monkeypatch):
@@ -586,7 +611,7 @@ class TestChunkedBuild:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", WORKER_SIZES)
     def test_build_is_bitwise_at_each_worker_count(self, n, workers, threads_used, monkeypatch):
         monkeypatch.setattr(spiral, "_workers", lambda: workers)
@@ -807,3 +832,107 @@ class TestBlockSums:
         assert _block_sums(rows[:1], np.empty_like(rows[:1]))[0] == math.fsum(terms[:_BLOCK])
         got = _block_sums(rows, np.empty_like(rows))
         assert np.array_equal(got.view(np.uint64), _fsum_rows(rows).view(np.uint64))
+
+
+def _as_pairs(lane0, lane1):
+    """Rows of two blocks each, laid out as pairs: row p interleaves lane0[p] and lane1[p]."""
+    pairs = np.empty(lane0.shape, dtype=np.complex128)
+    pairs.real, pairs.imag = lane0, lane1
+    return pairs
+
+
+def _sums_as_pairs(rows):
+    """_pair_sums of an even number of rows, rows 2p and 2p + 1 laid out as pair p."""
+    pairs = _as_pairs(rows[0::2], rows[1::2])
+    return _pair_sums(pairs, np.empty_like(pairs))
+
+
+def _meets_pair_precondition(rows):
+    """No term above its row's first term's binade and the next, none more than 28 binades below the first."""
+    e = np.frexp(rows)[1]
+    return bool(np.all(e.max(axis=1) <= e[:, 0] + 1) and np.all(e[:, 0] - e.min(axis=1) <= 28))
+
+
+class TestPairSums:
+    """_pair_sums is bit-equal to math.fsum, block by block, inside its precondition."""
+
+    def test_real_blocks_of_a_1e7_build(self):
+        terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
+        rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
+        assert len(rows) == 2441 and _meets_pair_precondition(rows)
+        want = _fsum_rows(rows)
+        for lo in (0, 1):  # paired from block 0 and from block 1, so every block is summed
+            blocks = rows[lo:lo + 2440]
+            got = np.concatenate([_sums_as_pairs(blocks[a:a + 128]) for a in range(0, len(blocks), 128)])
+            assert np.array_equal(got.view(np.uint64), want[lo:lo + 2440].view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "target_of",
+        [_tie_rounding_down, _tie_rounding_up, _near_power(0), _near_power(-1), _near_power(-0.5),
+         _near_power(-0.25), _near_power(1), _near_power(3)],
+    )
+    def test_exact_sums_on_rounding_edges(self, target_of):
+        """TestBlockSums' rows on rounding edges, each with its largest term moved first."""
+        rng = np.random.default_rng(7)
+        rows = []
+        for scale in (-900, -113, -70, -63, 0, 40, 900):
+            m, _ = _row_summing_to(rng, target_of)
+            top = int(m.argmax())
+            m[0], m[top] = m[top], m[0]
+            rows.append(np.ldexp(m, scale))
+        rows = np.array(rows)
+        assert _meets_pair_precondition(rows)
+        nxt = np.roll(rows, -1, axis=0)  # every row in either lane
+        pairs = _as_pairs(rows, nxt)
+        want = np.stack([_fsum_rows(rows), _fsum_rows(nxt)], axis=1).ravel()
+        got = _pair_sums(pairs, np.empty_like(pairs))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_random_rows_at_widest_spread(self):
+        """Terms one binade above the first and 28 below it: 29 binades, as for _block_sums."""
+        rng = np.random.default_rng(20261021)
+        rows, spread = 64, 29
+        base = rng.integers(-1000, 960, size=(rows, 1))
+        e = base + rng.integers(0, spread, endpoint=True, size=(rows, _BLOCK))
+        e[:, 0], e[:, 1], e[:, 2] = base[:, 0] + spread - 1, base[:, 0], base[:, 0] + spread
+        mantissa = rng.integers(2**52, 2**53, size=(rows, _BLOCK)).astype(np.float64)
+        x = np.ldexp(mantissa, e - 53)  # full 53-bit mantissas, frexp exponent e
+        assert np.all(x > 0) and np.all(_exponent_spread(x) == spread) and _meets_pair_precondition(x)
+        assert np.array_equal(_sums_as_pairs(x).view(np.uint64), _fsum_rows(x).view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [-900, -1, 0, 900])
+    def test_later_terms_above_the_first(self, scale):
+        """The first term is the double just below a power of two P, the next is P, one ulp above it,
+        and the others fill [P, 2P). Split on the grid of the first term's own binade, their high
+        parts would sum to ~1.5 * 2**53 grid steps and round: the margin of one binade keeps them exact.
+        """
+        rng = np.random.default_rng(scale + 1000)
+        p = math.ldexp(1.0, scale)
+        x = p * (1.0 + np.ldexp(rng.integers(0, 2**52, size=(8, _BLOCK)).astype(np.float64), -52))
+        x[:, 0], x[:, 1] = math.nextafter(p, 0.0), p
+        assert _meets_pair_precondition(x) and np.all(np.frexp(x[:, 1:])[1] == np.frexp(x[:, :1])[1] + 1)
+        assert np.array_equal(_sums_as_pairs(x).view(np.uint64), _fsum_rows(x).view(np.uint64))
+
+    @pytest.mark.parametrize("low", [2**40, 2**42])
+    @pytest.mark.parametrize("off_tie", [-1, 1])
+    def test_low_parts_at_their_bound(self, low, off_tie):
+        """TestBlockSums' low parts at their bound, with a first term one binade below the others.
+
+        In units of 2**-82: the first term is 2**80 + low - 2**29, in [0.25, 0.5), and 4094
+        terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29. So the split grid is that of
+        _block_sums, 2**41 units with low = 2**40, and the low parts fill 52 bits. One term in
+        [2**-30, 2**-29), 28 binades below the first, puts the exact sum one unit off a tie.
+        """
+        rng = np.random.default_rng(11)
+        rows = []
+        for _ in range(4):
+            m = [2**80 + low - 2**29]
+            m += [2**81 + j * 2**44 + low - 2**29 for j in rng.integers(0, 2**36, size=_BLOCK - 2).tolist()]
+            rest = sum(m)
+            u = _ulp(rest)
+            m.append(2**52 + (u // 2 + off_tie - rest - 2**52) % u)
+            assert sum(m) % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
+            rows.append(np.ldexp(np.array(m, dtype=np.float64), -82))
+        x = np.array(rows)
+        assert _meets_pair_precondition(x) and np.all(_exponent_spread(x) == 29)
+        assert np.array_equal(_sums_as_pairs(x).view(np.uint64), _fsum_rows(x).view(np.uint64))
