@@ -88,7 +88,3 @@ def claims_for(divisor: int) -> DivisorClaims:
 
 def claimed_divisors() -> list[int]:
     return sorted(all_claims())
-
-
-def all_polynomials() -> list[ClaimedPolynomial]:
-    return [p for d in claimed_divisors() for p in claims_for(d).polynomials]

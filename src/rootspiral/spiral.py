@@ -13,7 +13,7 @@ stays below 1e-8 even for tables of 10^7 entries. Blocks are worked on in
 pairs: a pair's terms are interleaved as the real and imaginary parts of one
 complex128 array, and as a complex addition is two float64 additions, its
 one cumsum is the two blocks' cumsums, bit for bit, with two dependency
-chains in flight.
+chains in flight; a table's terms run on to a whole number of pairs.
 
 A table is built in three phases. The terms, their block sums and the
 in-block prefixes are split among one thread per CPU the process may run on
@@ -43,11 +43,8 @@ _BLOCK = 4096
 #: Terms in a pair of blocks, interleaved in a table build's term buffer.
 _PAIR = 2 * _BLOCK
 
-#: Terms computed per step of a one-worker table build, and the length of
-#: the term and split buffers that a build's workers share out. A multiple of
-#: _PAIR: at up to 8 workers every step but the last of a worker's run is
-#: whole pairs of blocks. A run's last step may end in an odd whole block,
-#: and the table's last step in a partial block.
+#: Terms per step of a one-worker table build, and the length of the term
+#: and split buffers that a build's workers share out, each step whole pairs.
 _GROW_TERMS = 1 << 16
 
 #: Rows formatted per write by SpiralTable.write_csv. Bounds its temporaries:
@@ -74,35 +71,6 @@ def _angle_terms(k: np.ndarray) -> np.ndarray:
     return np.arctan(k, out=k)
 
 
-def _block_sums(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row, bit-equal to math.fsum(row).
-
-    Each term t of a row is split exactly as t = h + l, with h = (t + c) - c
-    and c = 1.5 * 2**(E + 11), where every term of the row is < 2**E. That
-    rounds h to the grid 2**(E - 41), so h is at most 2**41 grid steps, and
-    leaves |l| <= 2**(E - 42) on the grid of the row's smallest ulp. Over
-    2**12 terms every partial sum of either part then fits in 53 bits, so
-    h.sum() and l.sum() are exact in any order. One IEEE addition rounds
-    their total to nearest, ties to even, as math.fsum does.
-
-    The split is exact when the terms are positive and finite (below
-    2**1012, so neither c nor a row sum overflows), each row holds exactly
-    4096 = 2**12 terms, and the binary exponents of a row's largest and
-    smallest terms differ by at most 29. Blocks of arctan(1/sqrt(k)) meet
-    this with room to spare: the widest spread is block 1 (k = 1..4096),
-    whose terms span a ratio of about 50 (6 bits).
-
-    The parts are held in `scratch`, an array of the shape of `rows`.
-    """
-    _, e = np.frexp(rows.max(axis=1))
-    c = np.ldexp(1.5, e + 11)[:, None]
-    part = np.add(rows, c, out=scratch)
-    part -= c  # the high parts h
-    high = part.sum(axis=1)
-    np.subtract(rows, part, out=part)  # the low parts l = t - h
-    return high + part.sum(axis=1)
-
-
 def _pair_sums(pairs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Correctly rounded sums of blocks laid out as pairs, bit-equal to math.fsum of each block.
 
@@ -111,18 +79,24 @@ def _pair_sums(pairs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     (real part l = 0, imaginary part l = 1) of element i. Returns the 2P
     block sums in block order, as float64.
 
-    Each block is split as in _block_sums, with E the binary exponent of
-    its first term plus one, so c = 1.5 * 2**(E + 11); each complex
-    addition is the two IEEE float64 additions of the two lanes. The split
-    is exact when the terms are positive and finite (below 2**1011), and in
-    each block every term is below 2**E, twice the power of two above the
-    first term, and the binary exponent of the smallest term is at most 28
-    below the first term's. Then E exceeds it by at most 29, as _block_sums
-    requires of its largest term's. That reads one term a block, takes no
-    maximum, and does not rest on the block's computed terms decreasing.
-    Blocks of arctan(1/sqrt(k)) meet it with room to spare: the smallest
-    term of block 1 is 6 binades below its first, that of a later block at
-    most 1.
+    Each term t of a block is split exactly as t = h + l, with
+    h = (t + c) - c and c = 1.5 * 2**(E + 11), E the binary exponent of the
+    block's first term plus one; each complex addition is the two IEEE
+    float64 additions of the two lanes. The split is exact when the terms
+    are positive and finite (below 2**1011, so neither c nor a block sum
+    overflows), each block holds 4096 = 2**12 terms, each below 2**E (twice
+    the power of two above the first term), and no term's binary exponent
+    is more than 28 below the first term's, so none is below E - 29. Then h
+    lies on the grid 2**(E - 41), at most 2**41 of its steps, and
+    |l| <= 2**(E - 42) is at most 2**40 steps of the grid 2**(E - 82) of the
+    block's smallest ulp. Every partial sum of either part over 2**12 terms
+    fits in 53 bits, so h.sum() and l.sum() are exact in any order, and one
+    IEEE addition rounds their total to nearest, ties to even, as math.fsum
+    does. The split reads one term a block, takes no maximum and does not
+    rest on the block's computed terms decreasing. Blocks of
+    arctan(1/sqrt(k)), past the table's end too, meet it with room to
+    spare: the smallest term of block 1 (k = 1..4096) is 6 binades below
+    its first, that of a later block at most 1.
 
     The parts are held in `scratch`, an array of the shape of `pairs`.
     """
@@ -135,8 +109,8 @@ def _pair_sums(pairs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return (high + part.sum(axis=1)).view(np.float64)
 
 
-def _kahan_offsets(sums: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each block's offset, and the offset past the last block, from the block sums.
+def _kahan_offsets(sums: np.ndarray) -> np.ndarray:
+    """Each block's offset from the block sums, then the offset past the last block.
 
     A Kahan-compensated (sum, correction) pair carries the running total
     over the blocks in order; each block is offset by the pair's sum
@@ -151,7 +125,8 @@ def _kahan_offsets(sums: np.ndarray) -> tuple[np.ndarray, float]:
         t = total + x
         comp = x - (t - total)
         total = t
-    return np.array(offsets), total + comp
+    offsets.append(total + comp)
+    return np.array(offsets)
 
 
 def _workers() -> int:
@@ -207,94 +182,73 @@ class SpiralTable:
         """Build theta(1) .. theta(n_max) in three phases; the table changes only if all succeed.
 
         Term i >= 0 is arctan(1 / sqrt(i + 1)) and theta[i + 2] sums terms
-        0 .. i. The terms' 4096-term blocks are split into contiguous runs,
-        one per worker: one worker per CPU this process may run on, but no
-        more than the build has steps of _GROW_TERMS terms, so a one-step
-        table starts no thread. Only phases 1 and 3 are split; numpy's ufuncs
-        release the GIL, so the workers' runs overlap.
+        0 .. i. The terms run on to whole pairs of 4096-term blocks, split
+        into contiguous runs of pairs, one per worker: one worker per CPU
+        this process may run on, but no more than the build has steps of
+        _GROW_TERMS terms, so a one-step table starts no thread. Phases 1
+        and 3 are split; numpy's ufuncs release the GIL, so runs overlap.
 
-        1. Each worker steps through its run. For each step it computes the
-           terms, their exact block sums, and each block's plain cumsum,
-           written into theta. A step's whole pairs of blocks are laid out
-           interleaved in its term buffer, as `steps` orders the terms: the
-           pair sums come from _pair_sums, and each pair's cumsum is one
-           complex accumulate into the split buffer, then copied out to
-           theta in block order. The blocks past a step's last pair, a
-           run's odd block and the table's partial block, are laid out in
-           order, summed by _block_sums and cumsummed one by one.
-        2. The calling thread carries the block sums, in block order, to each
-           block's offset (_kahan_offsets).
-        3. Each worker adds its blocks' offsets; the trailing partial block,
-           if any, gets the offset past the last whole block.
+        1. Each worker steps through its run, whole pairs a step. It
+           computes the terms, each pair's blocks interleaved as `steps`
+           orders them; their exact block sums (_pair_sums); and each pair's
+           cumsum, one complex accumulate into the split buffer, copied out
+           to theta in block order.
+        2. The calling thread carries the whole blocks' sums, in order, to
+           each block's offset and the offset past them, which the table's
+           partial block takes (_kahan_offsets).
+        3. Each worker adds its blocks' offsets.
 
         Each value is computed by the same operations in the same order
         whatever the split, so theta keeps every bit on any number of
-        workers. The workers share out one term buffer and one split buffer
-        of _GROW_TERMS floats, each worker's step a multiple of _PAIR (of
-        _BLOCK past 8 workers), so no step allocates an array of its length.
+        workers; the terms past theta(n_max) are computed and dropped. The
+        steps share out one term buffer and one split buffer of _GROW_TERMS
+        floats, so no step allocates an array of its length; past 8 workers
+        a step is one pair, and the buffers take 128 KB a worker.
         """
         n_terms = n_max - 1
-        theta = np.empty(n_max + 1, dtype=np.float64)
+        n_pairs = -(-n_terms // _PAIR)
+        theta = np.empty(2 + n_pairs * _PAIR, dtype=np.float64)
         theta[0] = np.nan
         theta[1] = 0.0
         prefix = theta[2:]
         workers = min(_workers(), -(-n_terms // _GROW_TERMS))
-        size = max(_BLOCK, _GROW_TERMS // workers // _PAIR * _PAIR)
-        blocks = -(-n_terms // _BLOCK)
-        runs = [
-            (w * blocks // workers * _BLOCK, min((w + 1) * blocks // workers * _BLOCK, n_terms))
-            for w in range(workers)
-        ]
-        in_block = np.arange(_BLOCK, dtype=np.float64)  # a block's term offsets
-        # A step's term offsets, its whole pairs of blocks interleaved:
-        # pair p, term i, lane l holds the offset (2p + l) * _BLOCK + i.
-        length = min(size, n_terms)
-        steps = (np.arange(0.0, length - length % _PAIR, _BLOCK).reshape(-1, 1, 2) + in_block[:, None]).ravel()
+        size = max(_PAIR, _GROW_TERMS // workers // _PAIR * _PAIR)
+        runs = [(w * n_pairs // workers * _PAIR, (w + 1) * n_pairs // workers * _PAIR) for w in range(workers)]
+        # A step's term offsets, its pairs of blocks interleaved: pair p,
+        # term i, lane l holds the offset (2p + l) * _BLOCK + i.
+        length = min(size, len(prefix))
+        steps = (np.arange(0.0, length, _BLOCK).reshape(-1, 1, 2) + np.arange(0.0, _BLOCK)[:, None]).ravel()
         # One allocation holds every worker's term and split buffers. Freeing
         # one 1 MB block keeps glibc's mmap threshold above the temporaries
         # of a later CSV export's chunks; one block per worker took a 300 000
         # row `spiral` command from ~22 000 to ~26 600 page faults.
         buffers = np.empty((workers, 2, length))
-        sums = np.empty(n_terms // _BLOCK)
+        sums = np.empty(2 * n_pairs)
 
         def block_prefixes(lo: int, hi: int, buffer: np.ndarray) -> None:
-            # k = a + 1 + offset. The worker's term buffer and split buffer
-            # serve every step of its run.
+            # k = a + 1 + offset
             terms, scratch = buffer
             for a in range(lo, hi, size):
                 m = min(size, hi - a)
-                two = m - m % _PAIR
-                # Only a run's last step has blocks past its pairs: an odd
-                # whole block, and the table's partial block.
-                tail = [(b, min(b + _BLOCK, m)) for b in range(two, m, _BLOCK)]
-                np.add(steps[:two], a + 1, out=terms[:two])
-                for b, e in tail:
-                    np.add(in_block[:e - b], a + 1 + b, out=terms[b:e])
-                t = _angle_terms(terms[:m])
-                pairs = t[:two].view(np.complex128).reshape(-1, _BLOCK)
-                split = scratch[:two].view(np.complex128).reshape(-1, _BLOCK)
-                sums[a // _BLOCK:(a + two) // _BLOCK] = _pair_sums(pairs, split)
+                t = _angle_terms(np.add(steps[:m], a + 1, out=terms[:m]))
+                pairs = t.view(np.complex128).reshape(-1, _BLOCK)
+                split = scratch[:m].view(np.complex128).reshape(-1, _BLOCK)
+                sums[a // _BLOCK:(a + m) // _BLOCK] = _pair_sums(pairs, split)
                 # One 1-D cumsum per pair, each complex add two float64 adds
                 # (a 2-D one holds the GIL), copied out to theta in cache.
                 for pair, out in zip(pairs, split):
                     np.add.accumulate(pair, out=out)
-                prefix[a:a + two].reshape(-1, 2, _BLOCK)[...] = scratch[:two].reshape(-1, _BLOCK, 2).transpose(0, 2, 1)
-                for b, e in tail:
-                    if e - b == _BLOCK:
-                        sums[(a + b) // _BLOCK] = _block_sums(t[None, b:e], scratch[None, b:e])[0]
-                    np.add.accumulate(t[b:e], out=prefix[a + b:a + e])
+                prefix[a:a + m].reshape(-1, 2, _BLOCK)[...] = scratch[:m].reshape(-1, _BLOCK, 2).transpose(0, 2, 1)
 
         _run_split(block_prefixes, [(lo, hi, buffer) for (lo, hi), buffer in zip(runs, buffers)])
-        offsets, past_last = _kahan_offsets(sums)
+        offsets = _kahan_offsets(sums[:n_terms // _BLOCK])
 
         def add_offsets(lo: int, hi: int) -> None:
-            whole = min(hi, len(offsets) * _BLOCK)
-            rows = prefix[lo:whole].reshape(-1, _BLOCK)
-            rows += offsets[lo // _BLOCK:whole // _BLOCK, None]
-            prefix[whole:hi] += past_last
+            rows = prefix[lo:hi].reshape(-1, _BLOCK)[:len(offsets) - lo // _BLOCK]  # a block of padding alone has none
+            rows += offsets[lo // _BLOCK:hi // _BLOCK, None]
 
         _run_split(add_offsets, runs)
-        self._theta = theta
+        self._theta = theta[:n_max + 1]
         self._n_max = n_max
 
     @property

@@ -1,4 +1,4 @@
-"""Shared fixtures: one spiral table and one discovery run per session, and the JSON oracle."""
+"""Shared fixtures: one spiral table and one discovery run per session, the published polynomials, and the JSON oracle."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from rootspiral.claims import claimed_divisors
+from rootspiral.claims import all_claims, claimed_divisors
 from rootspiral.discovery import discover
 from rootspiral.spiral import shared_table
 
@@ -18,6 +18,12 @@ TABLE_N_MAX = 25000
 @pytest.fixture(scope="session")
 def table():
     return shared_table(TABLE_N_MAX)
+
+
+@pytest.fixture(scope="session")
+def published_polynomials():
+    """Every published ClaimedPolynomial, divisor by divisor."""
+    return [cp for dc in all_claims().values() for cp in dc.polynomials]
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rootspiral.claims import all_claims, all_polynomials, claimed_divisors
+from rootspiral.claims import all_claims, claimed_divisors
 from rootspiral.discovery import (
     axis_symmetry,
     canonical_shift,
@@ -27,29 +27,29 @@ from rootspiral.spiral import SpiralTable
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_criterion_01_divisibility(table):
+def test_criterion_01_divisibility(table, published_polynomials):
     """All 28 published polynomials divisible by their divisor, two methods."""
-    assert len(all_polynomials()) == 28
-    for cp in all_polynomials():
+    assert len(published_polynomials) == 28
+    for cp in published_polynomials:
         assert divisible_by(cp.poly, cp.divisor), cp.label
         assert all(cp.poly.eval(x) % cp.divisor == 0 for x in range(0, 1001))
 
 
-def test_criterion_02_second_differentials():
+def test_criterion_02_second_differentials(published_polynomials):
     """Computed second differential equals the published value, exactly."""
     want = {2: {18, 20}, 3: {18, 21}, 5: {20}, 11: {22}, 13: {13, 26}, 17: {17}}
     seen: dict[int, set[int]] = {}
-    for cp in all_polynomials():
+    for cp in published_polynomials:
         assert cp.poly.second_differential == cp.second_differential, cp.label
         seen.setdefault(cp.divisor, set()).add(cp.poly.second_differential)
     assert seen == want
 
 
-def test_criterion_03_rotation_concordance(table):
+def test_criterion_03_rotation_concordance(table, published_polynomials):
     """Drift-sign rotation matches published labels except the known
     equal-A discordances, which are flagged rather than failed."""
     discordant = []
-    for cp in all_polynomials():
+    for cp in published_polynomials:
         hi = 40
         while cp.poly.eval(hi + 1) > table.n_max:
             hi -= 1
@@ -57,7 +57,7 @@ def test_criterion_03_rotation_concordance(table):
         if got is not cp.rotation_label:
             discordant.append((cp.divisor, cp.label))
     assert sorted(discordant) == [(5, "P1"), (11, "P1"), (17, "N1")]
-    assert len(all_polynomials()) - len(discordant) == 25
+    assert len(published_polynomials) - len(discordant) == 25
 
 
 def test_criterion_04_count_identity():
@@ -71,7 +71,7 @@ def test_criterion_04_count_identity():
     assert len(instances) == 9
 
 
-def test_criterion_05_discovery_reproduction(reports, table):
+def test_criterion_05_discovery_reproduction(reports, table, published_polynomials):
     """Discovery reproduces published system counts and contains every
     published polynomial (as a member sequence, up to index shift)."""
     want = {
@@ -84,7 +84,7 @@ def test_criterion_05_discovery_reproduction(reports, table):
     }
     for d, expected in want.items():
         assert reports[d].counts == expected, f"d={d}"
-    for cp in all_polynomials():
+    for cp in published_polynomials:
         target = canonical_shift(cp.poly)
         found = any(
             arm.poly == target

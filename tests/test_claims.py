@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from rootspiral.claims import all_claims, all_polynomials, claimed_divisors, claims_for
+from rootspiral.claims import all_claims, claimed_divisors, claims_for
 from rootspiral.errors import UnknownDivisor
 
 
-def test_divisors_and_polynomial_count():
+def test_divisors_and_polynomial_count(published_polynomials):
     assert claimed_divisors() == [2, 3, 5, 11, 13, 17]
-    assert len(all_polynomials()) == 28
+    assert len(published_polynomials) == 28
 
 
 def test_polynomials_per_divisor():
@@ -18,8 +18,8 @@ def test_polynomials_per_divisor():
     assert counts == {2: 10, 3: 5, 5: 5, 11: 3, 13: 3, 17: 2}
 
 
-def test_labels_carry_direction():
-    for cp in all_polynomials():
+def test_labels_carry_direction(published_polynomials):
+    for cp in published_polynomials:
         assert cp.label[0] in ("P", "N")
         assert cp.rotation_label.value == (
             "positive" if cp.label.startswith("P") else "negative"

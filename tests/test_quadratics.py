@@ -8,7 +8,7 @@ from itertools import takewhile
 
 import pytest
 
-from rootspiral.claims import all_claims, all_polynomials
+from rootspiral.claims import all_claims
 from rootspiral.errors import RangeExhausted
 from rootspiral.quadratics import (
     HalfIntQuadratic,
@@ -117,8 +117,8 @@ class TestDivisibility:
         assert divisible_by(P1_D2, 2)
         assert not divisible_by(P1_D2, 3)
 
-    def test_all_published_polynomials_brute_force(self):
-        for cp in all_polynomials():
+    def test_all_published_polynomials_brute_force(self, published_polynomials):
+        for cp in published_polynomials:
             assert divisible_by(cp.poly, cp.divisor)
             assert all(
                 cp.poly.eval(x) % cp.divisor == 0 for x in range(-1000, 1001)
@@ -176,11 +176,11 @@ class TestDrift:
         assert asymptotic_drift(18) == pytest.approx(6 - 2 * math.pi)
         assert asymptotic_drift(26) == pytest.approx(2 * math.sqrt(13) - 2 * math.pi)
 
-    def test_drift_converges_for_all_published_polynomials(self, table):
+    def test_drift_converges_for_all_published_polynomials(self, table, published_polynomials):
         # (17,153,102) sits furthest from its family vertex and first enters
         # the 0.02 band one step later, at x = 41; all others make it by 40.
         slow = HalfIntQuadratic(17, 153, 102)
-        for cp in all_polynomials():
+        for cp in published_polynomials:
             q = cp.poly
             x = 41 if q == slow else 40
             assert q.eval(x + 1) <= table.n_max

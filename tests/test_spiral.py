@@ -33,10 +33,10 @@ from rootspiral.spiral import (
     _BLOCK,
     _CSV_ROWS,
     _GROW_TERMS,
+    _PAIR,
     TWO_PI,
     SpiralTable,
     _angle_terms,
-    _block_sums,
     _pair_sums,
     shared_table,
 )
@@ -582,12 +582,14 @@ class TestChunkedBuild:
 
     # -- builds split among workers ---------------------------------------
 
-    #: SIZES; one whose 81 blocks split unevenly among 2 to 5 workers; and
-    #: tables and runs that end in an odd whole block past their last pair,
-    #: with and without a partial block: one pair and an odd block; one
-    #: block and a partial one; and 16 + 3 blocks and a partial one, which
-    #: at two workers split 10 and 9 + 1.
-    WORKER_SIZES = SIZES + (5 * _GROW_TERMS + 7, 3 * _BLOCK + 1, _BLOCK + 2, _GROW_TERMS + 3 * _BLOCK + 2)
+    #: SIZES; one whose 41 pairs split unevenly among 2 to 5 workers; and
+    #: the edges of the padding to whole pairs: terms that end on a pair (3
+    #: pairs); on an odd whole block, so that a block is padding alone (5
+    #: and 3 blocks); and in a partial block after one block, and after 19
+    #: blocks, which at two workers split 5 pairs and 5.
+    WORKER_SIZES = SIZES + (
+        5 * _GROW_TERMS + 7, 3 * _PAIR + 1, 5 * _BLOCK + 1, 3 * _BLOCK + 1, _BLOCK + 2, _GROW_TERMS + 3 * _BLOCK + 2
+    )
 
     @pytest.fixture
     def threads_used(self, monkeypatch):
@@ -616,9 +618,20 @@ class TestChunkedBuild:
     def test_build_is_bitwise_at_each_worker_count(self, n, workers, threads_used, monkeypatch):
         monkeypatch.setattr(spiral, "_workers", lambda: workers)
         got = SpiralTable(n).theta_array
+        assert got.shape == (n + 1,)  # the padding to whole pairs stays out
         assert np.array_equal(got.view(np.uint64), _theta_oracle(n).view(np.uint64))
         # one thread per worker, capped at the build's steps of _GROW_TERMS terms
         assert len(threads_used) == min(workers, -(-(n - 1) // _GROW_TERMS))
+
+    @pytest.mark.parametrize("workers", [9, 17])
+    def test_build_is_bitwise_a_pair_a_step(self, workers, threads_used, monkeypatch):
+        """Past 8 workers each step is one pair: 137 pairs, 15 or 16 a worker at 9 workers, 8 or 9 at 17."""
+        monkeypatch.setattr(spiral, "_workers", lambda: workers)
+        n = 17 * _GROW_TERMS + 5
+        got = SpiralTable(n).theta_array
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got.view(np.uint64), _theta_oracle(n).view(np.uint64))
+        assert len(threads_used) == workers
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_ensure_grows_a_threaded_table(self, workers, threads_used, monkeypatch):
@@ -716,7 +729,8 @@ def _row_summing_to(rng, target_of):
     S is the sum of a random start row with m_i in [2**23, 2**51); target_of
     must return an integer in [S, 2*S]. The difference is spread evenly over
     the row, so every m_i stays in [2**23, 2**52): as doubles their binary
-    exponents span at most 28, inside the precondition of _block_sums.
+    exponents span at most 28, so with its largest term moved first the row
+    meets the precondition of _pair_sums.
     """
     m = rng.integers(2**23, 2**51, size=_BLOCK).tolist()
     start = sum(m)
@@ -758,80 +772,17 @@ def _near_power(ulps):
     return target
 
 
-class TestBlockSums:
-    """_block_sums is bit-equal to math.fsum, row by row, inside its precondition."""
-
-    def test_random_rows_at_widest_spread(self):
-        rng = np.random.default_rng(20261018)
-        rows, spread = 64, 29
-        base = rng.integers(-1000, 960, size=(rows, 1))
-        e = base + rng.integers(0, spread, endpoint=True, size=(rows, _BLOCK))
-        e[:, 0], e[:, 1] = base[:, 0], base[:, 0] + spread  # every row at the full spread
-        mantissa = rng.integers(2**52, 2**53, size=(rows, _BLOCK)).astype(np.float64)
-        x = np.ldexp(mantissa, e - 53)  # full 53-bit mantissas, frexp exponent e
-        assert np.all(x > 0) and np.all(_exponent_spread(x) == spread)
-        got = _block_sums(x, np.empty_like(x))
-        assert np.array_equal(got.view(np.uint64), _fsum_rows(x).view(np.uint64))
-
-    @pytest.mark.parametrize(
-        "target_of, rounds",
-        [
-            (_tie_rounding_down, "tie down"),
-            (_tie_rounding_up, "tie up"),
-            (_near_power(0), "exact"),  # lands on the power of two
-            (_near_power(-1), "exact"),  # the double just below it
-            (_near_power(-0.5), "tie up"),  # rounds up into the next binade
-            (_near_power(-0.25), "up"),
-            (_near_power(1), "tie down"),  # the spacing above P is twice as wide
-            (_near_power(3), "tie up"),
-        ],
-    )
-    def test_exact_sums_on_rounding_edges(self, target_of, rounds):
-        rng = np.random.default_rng(7)
-        for scale in (-900, -113, -70, -63, 0, 40, 900):
-            m, target = _row_summing_to(rng, target_of)
-            nearest = float(target)  # int -> float rounds to nearest, ties to even
-            toward = math.nextafter(nearest, math.inf if target > int(nearest) else -math.inf)
-            if rounds == "exact":
-                assert int(nearest) == target
-            elif rounds.startswith("tie"):
-                assert int(nearest) + int(toward) == 2 * target
-            assert (int(nearest) > target) == rounds.endswith("up")
-            x = np.ldexp(m, scale)[None]
-            assert _block_sums(x, np.empty_like(x))[0] == math.fsum(x[0]) == math.ldexp(nearest, scale)
-
-    @pytest.mark.parametrize("low", [2**40, 2**42])
-    @pytest.mark.parametrize("off_tie", [-1, 1])
-    def test_low_parts_at_their_bound(self, low, off_tie):
-        """Low parts that all share one sign, next to one term at the full spread of 29.
-
-        In units of 2**-82: 4095 terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29,
-        so their low parts sum to ~4095 * low, which on a split grid of 2**41 units
-        (low = 2**40) fills 52 bits, and on a grid four times coarser (low = 2**42)
-        would need 54. One term in [2**-30, 2**-29) puts the exact sum one unit off
-        a tie, so any rounding of the low parts shows in the result.
-        """
-        rng = np.random.default_rng(11)
-        for _ in range(4):
-            m = [2**81 + j * 2**44 + low - 2**29 for j in rng.integers(0, 2**36, size=_BLOCK - 1).tolist()]
-            rest = sum(m)
-            u = _ulp(rest)
-            m.append(2**52 + (u // 2 + off_tie - rest - 2**52) % u)
-            total = sum(m)
-            assert total % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
-            x = np.ldexp(np.array(m, dtype=np.float64), -82)[None]
-            assert _exponent_spread(x)[0] == 29
-            assert _block_sums(x, np.empty_like(x))[0] == math.fsum(x[0]) == math.ldexp(float(total), -82)
-
-    def test_real_blocks_of_a_1e7_build(self):
-        terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
-        rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
-        assert len(rows) == 2441
-        spread = _exponent_spread(rows)
-        assert spread[0] == spread.max() == 6  # block 1 is the widest, far inside 29
-        assert _block_sums(rows[:1], np.empty_like(rows[:1]))[0] == math.fsum(terms[:_BLOCK])
-        got = _block_sums(rows, np.empty_like(rows))
-        assert np.array_equal(got.view(np.uint64), _fsum_rows(rows).view(np.uint64))
+#: Each row target of the rounding-edge tests, and how the row's exact sum rounds to a double.
+_ROUNDING_EDGES = {
+    _tie_rounding_down: "tie down",
+    _tie_rounding_up: "tie up",
+    _near_power(0): "exact",  # lands on the power of two
+    _near_power(-1): "exact",  # the double just below it
+    _near_power(-0.5): "tie up",  # rounds up into the next binade
+    _near_power(-0.25): "up",
+    _near_power(1): "tie down",  # the spacing above P is twice as wide
+    _near_power(3): "tie up",
+}
 
 
 def _as_pairs(lane0, lane1):
@@ -860,36 +811,43 @@ class TestPairSums:
         terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
         rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
         assert len(rows) == 2441 and _meets_pair_precondition(rows)
+        spread = _exponent_spread(rows)
+        assert spread[0] == spread.max() == 6  # block 1 is the widest, far inside 29
         want = _fsum_rows(rows)
+        assert want[0] == math.fsum(terms[:_BLOCK])
         for lo in (0, 1):  # paired from block 0 and from block 1, so every block is summed
             blocks = rows[lo:lo + 2440]
             got = np.concatenate([_sums_as_pairs(blocks[a:a + 128]) for a in range(0, len(blocks), 128)])
             assert np.array_equal(got.view(np.uint64), want[lo:lo + 2440].view(np.uint64))
 
-    @pytest.mark.parametrize(
-        "target_of",
-        [_tie_rounding_down, _tie_rounding_up, _near_power(0), _near_power(-1), _near_power(-0.5),
-         _near_power(-0.25), _near_power(1), _near_power(3)],
-    )
+    @pytest.mark.parametrize("target_of", list(_ROUNDING_EDGES))
     def test_exact_sums_on_rounding_edges(self, target_of):
-        """TestBlockSums' rows on rounding edges, each with its largest term moved first."""
+        """Rows whose exact sums are ties, doubles or just off them, each with its largest term moved first."""
+        rounds = _ROUNDING_EDGES[target_of]
         rng = np.random.default_rng(7)
-        rows = []
+        rows, sums = [], []
         for scale in (-900, -113, -70, -63, 0, 40, 900):
-            m, _ = _row_summing_to(rng, target_of)
+            m, target = _row_summing_to(rng, target_of)
+            nearest = float(target)  # int -> float rounds to nearest, ties to even
+            toward = math.nextafter(nearest, math.inf if target > int(nearest) else -math.inf)
+            if rounds == "exact":
+                assert int(nearest) == target
+            elif rounds.startswith("tie"):
+                assert int(nearest) + int(toward) == 2 * target
+            assert (int(nearest) > target) == rounds.endswith("up")
             top = int(m.argmax())
             m[0], m[top] = m[top], m[0]
             rows.append(np.ldexp(m, scale))
-        rows = np.array(rows)
-        assert _meets_pair_precondition(rows)
-        nxt = np.roll(rows, -1, axis=0)  # every row in either lane
-        pairs = _as_pairs(rows, nxt)
-        want = np.stack([_fsum_rows(rows), _fsum_rows(nxt)], axis=1).ravel()
+            sums.append(math.ldexp(nearest, scale))
+        rows, sums = np.array(rows), np.array(sums)
+        assert _meets_pair_precondition(rows) and np.array_equal(_fsum_rows(rows), sums)
+        pairs = _as_pairs(rows, np.roll(rows, -1, axis=0))  # every row in either lane
+        want = np.stack([sums, np.roll(sums, -1)], axis=1).ravel()
         got = _pair_sums(pairs, np.empty_like(pairs))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_random_rows_at_widest_spread(self):
-        """Terms one binade above the first and 28 below it: 29 binades, as for _block_sums."""
+        """Full 53-bit mantissas one binade above the first term and 28 below it: 29 binades."""
         rng = np.random.default_rng(20261021)
         rows, spread = 64, 29
         base = rng.integers(-1000, 960, size=(rows, 1))
@@ -916,23 +874,28 @@ class TestPairSums:
     @pytest.mark.parametrize("low", [2**40, 2**42])
     @pytest.mark.parametrize("off_tie", [-1, 1])
     def test_low_parts_at_their_bound(self, low, off_tie):
-        """TestBlockSums' low parts at their bound, with a first term one binade below the others.
+        """Low parts that all share one sign, next to one term at the full spread of 29 binades.
 
-        In units of 2**-82: the first term is 2**80 + low - 2**29, in [0.25, 0.5), and 4094
-        terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29. So the split grid is that of
-        _block_sums, 2**41 units with low = 2**40, and the low parts fill 52 bits. One term in
-        [2**-30, 2**-29), 28 binades below the first, puts the exact sum one unit off a tie.
+        In units of 2**-82: the first term is 2**80 + low - 2**29, in [0.25, 0.5), so E = 0 and
+        the split grid is 2**41 units; 4094 terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29.
+        Their low parts sum to ~4094 * low, which with low = 2**40 fills 52 bits, and on a grid
+        four times coarser (low = 2**42) would need 54. One term in [2**-30, 2**-29), 28 binades
+        below the first, puts the exact sum one unit off a tie, so any rounding of the low parts
+        shows in the result.
         """
         rng = np.random.default_rng(11)
-        rows = []
+        rows, sums = [], []
         for _ in range(4):
             m = [2**80 + low - 2**29]
             m += [2**81 + j * 2**44 + low - 2**29 for j in rng.integers(0, 2**36, size=_BLOCK - 2).tolist()]
             rest = sum(m)
             u = _ulp(rest)
             m.append(2**52 + (u // 2 + off_tie - rest - 2**52) % u)
-            assert sum(m) % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
+            total = sum(m)
+            assert total % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
             rows.append(np.ldexp(np.array(m, dtype=np.float64), -82))
-        x = np.array(rows)
+            sums.append(math.ldexp(float(total), -82))
+        x, sums = np.array(rows), np.array(sums)
         assert _meets_pair_precondition(x) and np.all(_exponent_spread(x) == 29)
-        assert np.array_equal(_sums_as_pairs(x).view(np.uint64), _fsum_rows(x).view(np.uint64))
+        assert np.array_equal(_fsum_rows(x), sums)
+        assert np.array_equal(_sums_as_pairs(x).view(np.uint64), sums.view(np.uint64))
