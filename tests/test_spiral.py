@@ -798,36 +798,114 @@ def _sums_as_pairs(rows):
     return _pair_sums(pairs, np.empty_like(pairs))
 
 
+def _block_sums(rows):
+    """_pair_sums of each row alone, in both lanes of a pair: row r of the result is row r's two lane sums."""
+    pairs = _as_pairs(rows, rows)
+    return _pair_sums(pairs, np.empty_like(pairs)).reshape(-1, 2)
+
+
+def _in_both_lanes(got, want):
+    """Whether each row of _block_sums' result holds the bits of want's entry in both lanes."""
+    return np.array_equal(got.view(np.uint64), np.repeat(want.view(np.uint64)[:, None], 2, axis=1))
+
+
 def _meets_pair_precondition(rows):
     """No term above its row's first term's binade and the next, none more than 28 binades below the first."""
     e = np.frexp(rows)[1]
     return bool(np.all(e.max(axis=1) <= e[:, 0] + 1) and np.all(e[:, 0] - e.min(axis=1) <= 28))
 
 
-class TestPairSums:
-    """_pair_sums is bit-equal to math.fsum, block by block, inside its precondition."""
+def _led_from_below_the_top(x):
+    """x with, in each row, a term of the binade just below the row's largest moved first.
 
-    def test_real_blocks_of_a_1e7_build(self):
-        terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
-        rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
-        assert len(rows) == 2441 and _meets_pair_precondition(rows)
-        spread = _exponent_spread(rows)
-        assert spread[0] == spread.max() == 6  # block 1 is the widest, far inside 29
-        want = _fsum_rows(rows)
-        assert want[0] == math.fsum(terms[:_BLOCK])
-        for lo in (0, 1):  # paired from block 0 and from block 1, so every block is summed
-            blocks = rows[lo:lo + 2440]
-            got = np.concatenate([_sums_as_pairs(blocks[a:a + 128]) for a in range(0, len(blocks), 128)])
-            assert np.array_equal(got.view(np.uint64), want[lo:lo + 2440].view(np.uint64))
+    The row's sum is unchanged, and a row whose exponents span 29 binades
+    then meets the precondition of _pair_sums.
+    """
+    e = np.frexp(x)[1]
+    below_top = e.max(axis=1) - 1
+    lead = np.argmax(e == below_top[:, None], axis=1)
+    r = np.arange(len(x))
+    assert np.all(e[r, lead] == below_top)
+    x = x.copy()
+    x[r, 0], x[r, lead] = x[r, lead], x[r, 0]
+    return x
 
-    @pytest.mark.parametrize("target_of", list(_ROUNDING_EDGES))
-    def test_exact_sums_on_rounding_edges(self, target_of):
-        """Rows whose exact sums are ties, doubles or just off them, each with its largest term moved first."""
-        rounds = _ROUNDING_EDGES[target_of]
-        rng = np.random.default_rng(7)
-        rows, sums = [], []
-        for scale in (-900, -113, -70, -63, 0, 40, 900):
-            m, target = _row_summing_to(rng, target_of)
+
+#: The binary scales of the rounding-edge rows.
+_EDGE_SCALES = (-900, -113, -70, -63, 0, 40, 900)
+
+
+def _rounding_edge_rows(target_of):
+    """_row_summing_to's rows scaled by each of _EDGE_SCALES, each with its largest term moved first,
+    and the integer each row sums to before its scaling."""
+    rng = np.random.default_rng(7)
+    rows, targets = [], []
+    for scale in _EDGE_SCALES:
+        m, target = _row_summing_to(rng, target_of)
+        top = int(m.argmax())
+        m[0], m[top] = m[top], m[0]
+        rows.append(np.ldexp(m, scale))
+        targets.append(target)
+    return np.array(rows), targets
+
+
+def _low_part_rows(low, off_tie):
+    """Four rows whose low parts all share one sign, next to one term at the full spread of 29
+    binades, and their exact sums rounded to nearest.
+
+    In units of 2**-82: the first term is 2**80 + low - 2**29, in [0.25, 0.5), so E = 0 and
+    the split grid is 2**41 units; 4094 terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29.
+    Their low parts sum to ~4094 * low, which with low = 2**40 fills 52 bits, and on a grid
+    four times coarser (low = 2**42) would need 54. One term in [2**-30, 2**-29), 28 binades
+    below the first, puts the exact sum one unit off a tie, so any rounding of the low parts
+    shows in the result.
+    """
+    rng = np.random.default_rng(11)
+    rows, sums = [], []
+    for _ in range(4):
+        m = [2**80 + low - 2**29]
+        m += [2**81 + j * 2**44 + low - 2**29 for j in rng.integers(0, 2**36, size=_BLOCK - 2).tolist()]
+        rest = sum(m)
+        u = _ulp(rest)
+        m.append(2**52 + (u // 2 + off_tie - rest - 2**52) % u)
+        total = sum(m)
+        assert total % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
+        rows.append(np.ldexp(np.array(m, dtype=np.float64), -82))
+        sums.append(math.ldexp(float(total), -82))
+    x = np.array(rows)
+    assert _meets_pair_precondition(x) and np.all(_exponent_spread(x) == 29)
+    return x, np.array(sums)
+
+
+def _real_rows():
+    """The terms of a 1e7 build, and its 2441 whole blocks as rows."""
+    terms = _angle_terms(np.arange(1, 10**7, dtype=np.float64))
+    rows = terms[: len(terms) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
+    assert len(rows) == 2441 and _meets_pair_precondition(rows)
+    return terms, rows
+
+
+class TestBlockSums:
+    """A block's sum by _pair_sums, in either lane, is its exact sum rounded to nearest, ties to even, as math.fsum."""
+
+    def test_random_rows_at_widest_spread(self):
+        rng = np.random.default_rng(20261018)
+        rows, spread = 64, 29
+        base = rng.integers(-1000, 960, size=(rows, 1))
+        e = base + rng.integers(0, spread, endpoint=True, size=(rows, _BLOCK))
+        e[:, 0], e[:, 1] = base[:, 0], base[:, 0] + spread  # every row at the full spread
+        mantissa = rng.integers(2**52, 2**53, size=(rows, _BLOCK)).astype(np.float64)
+        x = np.ldexp(mantissa, e - 53)  # full 53-bit mantissas, frexp exponent e
+        assert np.all(x > 0) and np.all(_exponent_spread(x) == spread)
+        x = _led_from_below_the_top(x)
+        assert _meets_pair_precondition(x)
+        assert _in_both_lanes(_block_sums(x), _fsum_rows(x))
+
+    @pytest.mark.parametrize("target_of, rounds", list(_ROUNDING_EDGES.items()))
+    def test_exact_sums_on_rounding_edges(self, target_of, rounds):
+        rows, targets = _rounding_edge_rows(target_of)
+        sums = []
+        for scale, target in zip(_EDGE_SCALES, targets):
             nearest = float(target)  # int -> float rounds to nearest, ties to even
             toward = math.nextafter(nearest, math.inf if target > int(nearest) else -math.inf)
             if rounds == "exact":
@@ -835,14 +913,45 @@ class TestPairSums:
             elif rounds.startswith("tie"):
                 assert int(nearest) + int(toward) == 2 * target
             assert (int(nearest) > target) == rounds.endswith("up")
-            top = int(m.argmax())
-            m[0], m[top] = m[top], m[0]
-            rows.append(np.ldexp(m, scale))
             sums.append(math.ldexp(nearest, scale))
-        rows, sums = np.array(rows), np.array(sums)
+        sums = np.array(sums)
         assert _meets_pair_precondition(rows) and np.array_equal(_fsum_rows(rows), sums)
-        pairs = _as_pairs(rows, np.roll(rows, -1, axis=0))  # every row in either lane
-        want = np.stack([sums, np.roll(sums, -1)], axis=1).ravel()
+        assert _in_both_lanes(_block_sums(rows), sums)
+
+    @pytest.mark.parametrize("low", [2**40, 2**42])
+    @pytest.mark.parametrize("off_tie", [-1, 1])
+    def test_low_parts_at_their_bound(self, low, off_tie):
+        x, sums = _low_part_rows(low, off_tie)
+        assert np.array_equal(_fsum_rows(x), sums)
+        assert _in_both_lanes(_block_sums(x), sums)
+
+    def test_real_blocks_of_a_1e7_build(self):
+        terms, rows = _real_rows()
+        spread = _exponent_spread(rows)
+        assert spread[0] == spread.max() == 6  # block 1 is the widest, far inside 29
+        assert _block_sums(rows[:1])[0, 0] == math.fsum(terms[:_BLOCK])
+        got = np.concatenate([_block_sums(rows[a:a + 128]) for a in range(0, len(rows), 128)])
+        assert _in_both_lanes(got, _fsum_rows(rows))
+
+
+class TestPairSums:
+    """_pair_sums sums the two blocks of a pair apart, bit-equal to math.fsum, in block order."""
+
+    def test_real_blocks_of_a_1e7_build(self):
+        _, rows = _real_rows()
+        want = _fsum_rows(rows)
+        for lo in (0, 1):  # paired from block 0 and from block 1, so every block is summed
+            blocks = rows[lo:lo + 2440]
+            got = np.concatenate([_sums_as_pairs(blocks[a:a + 128]) for a in range(0, len(blocks), 128)])
+            assert np.array_equal(got.view(np.uint64), want[lo:lo + 2440].view(np.uint64))
+
+    @pytest.mark.parametrize("target_of", list(_ROUNDING_EDGES))
+    def test_exact_sums_on_rounding_edges(self, target_of):
+        """TestBlockSums' rows on rounding edges, each paired with the row of the next scale."""
+        rows, _ = _rounding_edge_rows(target_of)
+        nxt = np.roll(rows, -1, axis=0)  # every row in either lane
+        pairs = _as_pairs(rows, nxt)
+        want = np.stack([_fsum_rows(rows), _fsum_rows(nxt)], axis=1).ravel()
         got = _pair_sums(pairs, np.empty_like(pairs))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -874,28 +983,6 @@ class TestPairSums:
     @pytest.mark.parametrize("low", [2**40, 2**42])
     @pytest.mark.parametrize("off_tie", [-1, 1])
     def test_low_parts_at_their_bound(self, low, off_tie):
-        """Low parts that all share one sign, next to one term at the full spread of 29 binades.
-
-        In units of 2**-82: the first term is 2**80 + low - 2**29, in [0.25, 0.5), so E = 0 and
-        the split grid is 2**41 units; 4094 terms in [0.5, 1) are 2**81 + j * 2**44 + low - 2**29.
-        Their low parts sum to ~4094 * low, which with low = 2**40 fills 52 bits, and on a grid
-        four times coarser (low = 2**42) would need 54. One term in [2**-30, 2**-29), 28 binades
-        below the first, puts the exact sum one unit off a tie, so any rounding of the low parts
-        shows in the result.
-        """
-        rng = np.random.default_rng(11)
-        rows, sums = [], []
-        for _ in range(4):
-            m = [2**80 + low - 2**29]
-            m += [2**81 + j * 2**44 + low - 2**29 for j in rng.integers(0, 2**36, size=_BLOCK - 2).tolist()]
-            rest = sum(m)
-            u = _ulp(rest)
-            m.append(2**52 + (u // 2 + off_tie - rest - 2**52) % u)
-            total = sum(m)
-            assert total % u == u // 2 + off_tie and 2**52 <= m[-1] < 2**53
-            rows.append(np.ldexp(np.array(m, dtype=np.float64), -82))
-            sums.append(math.ldexp(float(total), -82))
-        x, sums = np.array(rows), np.array(sums)
-        assert _meets_pair_precondition(x) and np.all(_exponent_spread(x) == 29)
-        assert np.array_equal(_fsum_rows(x), sums)
+        """TestBlockSums' rows with low parts at their bound, two to a pair."""
+        x, sums = _low_part_rows(low, off_tie)
         assert np.array_equal(_sums_as_pairs(x).view(np.uint64), sums.view(np.uint64))
